@@ -10,9 +10,10 @@ agree on lambda, and the test suite checks that agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import DesignCheckError, InvalidParameterError, SdfCheckError
+from .errors import DesignCheckError, InvalidParameterError, SdfCheckError, TheoremViolationError
 from .groups import FiniteGroup, Subgroup
 
 Block = tuple  # sorted duplicate-free tuple of element indices
@@ -113,36 +114,59 @@ def translate(group: FiniteGroup, block: Block, g: int) -> Block:
 
 def stabilizer(group: FiniteGroup, block: Block) -> Subgroup:
     """All g with B + g = B; always a subgroup, and the largest one H with
-    B + H = B (every such H is contained in it)."""
+    B + H = B (every such H is contained in it).
+
+    Every such g maps b0 = B[0] into B, so g = (-b0) + b for some b in B:
+    only these k candidates are tried, at O(k^2) per block.
+    """
     want = set(block)
-    fixers = [g for g in group.elements()
-              if all(group.table[b][g] in want for b in block)]
+    table = group.table
+    start = table[group.negs[block[0]]]
+    candidates = [start[b] for b in block]
+    fixers = [g for g in candidates if all(table[b][g] in want for b in block)]
     return Subgroup(group, tuple(fixers))
 
 
 def are_translates(group: FiniteGroup, b: Block, c: Block) -> Optional[int]:
-    """Smallest g with B = C + g, or None."""
-    want = frozenset(b)
+    """Smallest g with B = C + g, or None.
+
+    Such a g maps c0 = C[0] into B, so g = (-c0) + b for some b in B: only
+    these k candidates are tried, smallest first, at O(k^2) per pair.
+    """
     if len(b) != len(c):
         return None
-    for g in group.elements():
-        if all(group.table[x][g] in want for x in c):
+    want = frozenset(b)
+    table = group.table
+    start = table[group.negs[c[0]]]
+    for g in sorted(start[x] for x in b):
+        if all(table[x][g] in want for x in c):
             return g
     return None
 
 
 def equivalence_classes(family: LabeledFamily) -> tuple[tuple[Label, ...], ...]:
-    """Labels grouped by translate-equivalence of their blocks, in entry order."""
+    """Labels grouped by translate-equivalence of their blocks, in entry order.
+
+    B + g = C + h exactly when {B + (-b) : b in B} = {C + (-c) : c in C},
+    which holds in non-abelian groups too, so each block is keyed by the
+    smallest member of its set (the smallest translate containing 0) and the
+    classes come from one dict pass.  Each label that joins a class is
+    confirmed against the class's first block by are_translates.  Cost
+    O(k^2 log k) per entry, O(n k^2 log k) per family of n entries.
+    """
     group = family.group
-    reps: list[tuple[Block, list[Label]]] = []
+    classes: dict[Block, tuple[Block, list[Label]]] = {}
     for label, block in family.entries:
-        for rep, members in reps:
-            if are_translates(group, block, rep) is not None:
-                members.append(label)
-                break
-        else:
-            reps.append((block, [label]))
-    return tuple(tuple(members) for _, members in reps)
+        key = min(translate(group, block, group.negs[b]) for b in block)
+        if key not in classes:
+            classes[key] = (block, [label])
+            continue
+        rep, members = classes[key]
+        if are_translates(group, block, rep) is None:
+            raise TheoremViolationError("canonical-translate", {
+                "block": list(block), "rep": list(rep)})
+        members.append(label)
+    return tuple(tuple(members) for _, members in classes.values())
 
 
 def development(family: LabeledFamily) -> tuple[Block, ...]:
@@ -226,7 +250,7 @@ def verify_bibd(v: int, blocks: Sequence[Iterable[int]]) -> Design:
         raise InvalidParameterError("design has no blocks")
     normalized = []
     for raw in blocks:
-        raw = tuple(int(x) for x in raw)
+        raw = tuple(map(int, raw))
         block = tuple(sorted(set(raw)))
         if len(block) != len(raw):
             raise InvalidParameterError(f"block {raw!r} repeats a point")
@@ -248,18 +272,18 @@ def verify_bibd(v: int, blocks: Sequence[Iterable[int]]) -> Design:
             raise DesignCheckError("block-size", {
                 "block_a": list(normalized[0]), "block_b": list(block)})
 
-    counts = [[0] * v for _ in range(v)]
+    counts = [0] * (v * v)
     for block in normalized:
-        for i, a in enumerate(block):
-            for b in block[i + 1:]:
-                counts[a][b] += 1
-    lam = counts[0][1]
-    for a in range(v):
-        for b in range(a + 1, v):
-            if counts[a][b] != lam:
-                raise DesignCheckError("pair-coverage", {
-                    "pair_a": [0, 1], "count_a": lam,
-                    "pair_b": [a, b], "count_b": counts[a][b]})
+        for a, b in combinations(block, 2):
+            counts[a * v + b] += 1
+    lam = counts[1]
+    for a in range(v - 1):
+        row = counts[a * v + a + 1:(a + 1) * v]
+        if row.count(lam) != len(row):
+            b = next(b for b, count in enumerate(row, a + 1) if count != lam)
+            raise DesignCheckError("pair-coverage", {
+                "pair_a": [0, 1], "count_a": lam,
+                "pair_b": [a, b], "count_b": row[b - a - 1]})
     if lam == 0:
         raise DesignCheckError("pair-coverage", {"pair": [0, 1], "count": 0},
                                "every pair must be covered at least once")

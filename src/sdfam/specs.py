@@ -55,12 +55,34 @@ def _need(doc: dict, key: str, where: str) -> Any:
     return doc[key]
 
 
+def _ints(value: Any, depth: int) -> bool:
+    """Whether value is an int (depth 0) or a list of depth - 1 values.
+    JSON booleans fail: their type is bool, a subclass of int."""
+    if type(value) is not list:
+        return depth == 0 and type(value) is int
+    if depth == 1:
+        return set(map(type, value)) <= {int}
+    return depth > 1 and all(_ints(x, depth - 1) for x in value)
+
+
+def _need_int(doc: dict, key: str, where: str, depth: int = 0) -> Any:
+    """doc[key], which must be an integer or, for depth > 0, integers in
+    lists nested depth deep (a vector for 1, a table for 2)."""
+    value = _need(doc, key, where)
+    if not _ints(value, depth):
+        if depth == 0:
+            raise SpecFormatError(where, f"{key!r} must be an integer, got {value!r}")
+        raise SpecFormatError(where, f"{key!r} must be {'lists of ' * (depth - 1)}"
+                                     "lists of integers")
+    return value
+
+
 def parse_group(doc: dict, where: str = "group spec") -> ParsedGroup:
     kind = _need(doc, "kind", where)
     if kind == "cyclic":
-        return ParsedGroup(build_cyclic(int(_need(doc, "n", where))), None, dict(doc))
+        return ParsedGroup(build_cyclic(_need_int(doc, "n", where)), None, dict(doc))
     if kind == "elementary_abelian":
-        group = build_elementary_abelian(int(_need(doc, "p", where)), int(_need(doc, "k", where)))
+        group = build_elementary_abelian(_need_int(doc, "p", where), _need_int(doc, "k", where))
         return ParsedGroup(group, None, dict(doc))
     if kind == "product":
         factors = _need(doc, "factors", where)
@@ -69,33 +91,28 @@ def parse_group(doc: dict, where: str = "group spec") -> ParsedGroup:
         groups = [parse_group(f, f"{where}.factors[{i}]").group for i, f in enumerate(factors)]
         return ParsedGroup(build_direct_product(groups), None, dict(doc))
     if kind == "cayley":
-        table = _need(doc, "table", where)
+        table = _need_int(doc, "table", where, 2)
         return ParsedGroup(build_from_cayley(table, doc.get("names")), None, dict(doc))
     if kind == "field":
-        field = build_field(int(_need(doc, "p", where)), int(_need(doc, "n", where)),
-                            doc.get("modulus"))
+        modulus = None if doc.get("modulus") is None else _need_int(doc, "modulus", where, 1)
+        field = build_field(_need_int(doc, "p", where), _need_int(doc, "n", where), modulus)
         return ParsedGroup(additive_group(field), field, dict(doc))
     raise SpecFormatError(where, f"unknown group kind {kind!r}")
-
-
-def group_to_spec(parsed: ParsedGroup) -> dict:
-    return parsed.spec
 
 
 def parse_endo(doc: dict, parsed: ParsedGroup, where: str = "endo spec") -> Endomorphism:
     kind = _need(doc, "kind", where)
     group = parsed.group
     if kind == "table":
-        return make_endo(group, _need(doc, "map", where))
+        return make_endo(group, _need_int(doc, "map", where, 1))
     if kind == "scalar":
-        return scalar_endo(group, int(_need(doc, "c", where)))
+        return scalar_endo(group, _need_int(doc, "c", where))
     if kind == "matrix":
-        return matrix_endo(group, _need(doc, "entries", where))
+        return matrix_endo(group, _need_int(doc, "entries", where, 2))
     if kind == "field_mult":
         if parsed.field is None:
             raise SpecFormatError(where, "'field_mult' needs a group spec of kind 'field'")
-        elem = tuple(int(c) for c in _need(doc, "element", where))
-        return field_mult_endo(parsed.field, elem)
+        return field_mult_endo(parsed.field, tuple(_need_int(doc, "element", where, 1)))
     raise SpecFormatError(where, f"unknown endo kind {kind!r}")
 
 
@@ -113,10 +130,10 @@ def parse_family(doc: dict, where: str = "family file") -> tuple[LabeledFamily, 
     entries = []
     for i, item in enumerate(raw_entries):
         label = _need(item, "label", f"{where}.entries[{i}]")
-        block = _need(item, "block", f"{where}.entries[{i}]")
+        block = _need_int(item, "block", f"{where}.entries[{i}]", 1)
         if not isinstance(label, (int, str)):
             raise SpecFormatError(f"{where}.entries[{i}]", "labels must be integers or strings")
-        entries.append((label, tuple(int(x) for x in block)))
+        entries.append((label, tuple(block)))
     return LabeledFamily(parsed.group, tuple(entries)), parsed.spec
 
 
@@ -141,11 +158,9 @@ def design_to_doc(design: Design) -> dict:
 
 def parse_design_doc(doc: dict, where: str = "design file") -> tuple[int, list, dict]:
     """Returns (v, raw block list, declared parameters for cross-checking)."""
-    v = int(_need(doc, "v", where))
-    blocks = _need(doc, "blocks", where)
-    if not isinstance(blocks, list):
-        raise SpecFormatError(where, "'blocks' must be a list of blocks")
-    declared = {key: int(doc[key]) for key in ("k", "lambda", "b") if key in doc}
+    v = _need_int(doc, "v", where)
+    blocks = _need_int(doc, "blocks", where, 2)
+    declared = {key: _need_int(doc, key, where) for key in ("k", "lambda", "b") if key in doc}
     return v, [list(b) for b in blocks], declared
 
 

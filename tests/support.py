@@ -37,10 +37,36 @@ def naive_translates(group: FiniteGroup, block, g):
     return tuple(sorted(group.add(b, g) for b in block))
 
 
-def naive_stabilizer(group: FiniteGroup, block) -> set:
+def naive_stabilizer(group: FiniteGroup, block) -> tuple:
+    """Every g with B + g = B, by scanning all v group elements."""
     want = set(block)
-    return {g for g in group.elements()
-            if {group.add(b, g) for b in block} == want}
+    return tuple(g for g in group.elements()
+                 if all(group.add(b, g) in want for b in block))
+
+
+def naive_are_translates(group: FiniteGroup, b, c):
+    """Smallest g with B = C + g, by scanning all v group elements, or None."""
+    want = frozenset(b)
+    if len(b) != len(c):
+        return None
+    for g in group.elements():
+        if all(group.add(x, g) in want for x in c):
+            return g
+    return None
+
+
+def naive_equivalence_classes(family) -> tuple:
+    """Labels grouped by translate-equivalence, each entry tested against
+    every earlier class representative with the v-element scan."""
+    reps = []
+    for label, block in family.entries:
+        for rep, members in reps:
+            if naive_are_translates(family.group, block, rep) is not None:
+                members.append(label)
+                break
+        else:
+            reps.append((block, [label]))
+    return tuple(tuple(members) for _, members in reps)
 
 
 def all_automorphism_tables(group: FiniteGroup) -> list[tuple[int, ...]]:
@@ -186,3 +212,27 @@ def random_labeled_family(rng, group):
         return LabeledFamily(group, tuple(entries))
     except InvalidParameterError:
         return None
+
+
+def naive_design_violation(v: int, blocks):
+    """The first failed design condition as (condition, witness), or None.
+
+    Checks repeated blocks, then block sizes, then pair coverage in (a, b)
+    order, counting pairs with naive_pair_counts.
+    """
+    blocks = [tuple(sorted(b)) for b in blocks]
+    for i, block in enumerate(blocks):
+        if block in blocks[:i]:
+            return "repeated-block", {"block": list(block)}
+    for block in blocks[1:]:
+        if len(block) != len(blocks[0]):
+            return "block-size", {"block_a": list(blocks[0]), "block_b": list(block)}
+    counts = naive_pair_counts(v, blocks)
+    lam = counts[(0, 1)]
+    for (a, b), count in counts.items():
+        if count != lam:
+            return "pair-coverage", {"pair_a": [0, 1], "count_a": lam,
+                                     "pair_b": [a, b], "count_b": count}
+    if lam == 0:
+        return "pair-coverage", {"pair": [0, 1], "count": 0}
+    return None

@@ -214,3 +214,21 @@ def test_usage_errors_exit_one(files, capsys):
     assert main(["construct", "--method", "ferrero", "--group", group]) == 1
     assert main(["construct", "--method", "warp", "--group", group]) == 1
     assert main(["verify-sdf", "--family", str(tmp / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "cyclic", "n": "abc"},
+    {"kind": "cyclic", "n": None},
+    {"kind": "elementary_abelian", "p": 3, "k": True},
+], ids=["n-string", "n-null", "k-bool"])
+def test_non_integer_group_fields_exit_one(files, capsys, spec):
+    tmp, write = files
+    group = write("bad.json", spec)
+    autos = write("autos.json", [{"kind": "scalar", "c": 2}])
+    assert main(["analyze", "--group", group, "--autos", autos]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be an integer" in err
+    assert main(["construct", "--method", "ferrero", "--group", group,
+                 "--autos", autos, "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "SpecFormatError" and "must be an integer" in doc["message"]

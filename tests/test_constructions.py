@@ -358,7 +358,7 @@ def test_char2_subfield_multiplications_of_gf16(gf16):
     report = char2_segments_report(group, maps)
     assert not report.equality
     for label, block in report.family:
-        stab = support.naive_stabilizer(group, block)
+        stab = set(support.naive_stabilizer(group, block))
         assert stab == set(block)  # stabilizer is the block itself, of size 4
         assert {0, label} <= stab
     assert cert_tuple(report.certificate) == (16, 4, 4, 3, 12, 1)

@@ -13,6 +13,8 @@ from sdfam import (
     all_subgroups,
     are_translates,
     build_cyclic,
+    build_direct_product,
+    build_elementary_abelian,
     closure,
     development,
     equivalence_classes,
@@ -271,3 +273,82 @@ def test_labeled_and_dedup_lambda_agree(ferrero_family):
     dedup = verify_sdf(ferrero_family.dedup())
     assert labeled.lam == dedup.lam == 2
     assert (dedup.mu, dedup.nu, dedup.lam_prime) == (1, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def differential_groups(s3, d4, q8_group):
+    groups = [build_cyclic(n) for n in (2, 3, 5, 6, 7, 8, 9, 12, 13)]
+    groups += [build_elementary_abelian(2, 2), build_elementary_abelian(2, 3),
+               build_elementary_abelian(3, 2),
+               build_direct_product([build_cyclic(2), build_cyclic(4)]),
+               s3, d4, q8_group, support.alternating_group_4()]
+    return groups
+
+
+def assert_engines_agree(group, blocks):
+    for block in blocks:
+        assert stabilizer(group, block).elements == support.naive_stabilizer(group, block)
+    for b in blocks:
+        for c in blocks:
+            assert are_translates(group, b, c) == support.naive_are_translates(group, b, c)
+
+
+def test_engines_agree_with_naive_scans_on_random_families(differential_groups):
+    rng = random.Random(2024)
+    draws = nontrivial = 0
+    while draws < 600:
+        group = rng.choice(differential_groups)
+        family = support.random_labeled_family(rng, group)
+        if family is None:
+            continue
+        draws += 1
+        classes = equivalence_classes(family)
+        assert classes == support.naive_equivalence_classes(family)
+        nontrivial += any(len(cls) > 1 for cls in classes)
+        blocks = list(dict.fromkeys(family.blocks()))
+        sample = rng.sample(blocks, min(len(blocks), 4))
+        sample.append(translate(group, sample[0], rng.randrange(group.order)))
+        assert_engines_agree(group, sample)
+    assert nontrivial > 100
+
+
+def test_engines_agree_on_edge_cases(differential_groups):
+    for group in differential_groups:
+        v = group.order
+        singletons = [(x,) for x in group.elements()]
+        whole = tuple(group.elements())
+        mixed = [(0,), (0, 1), tuple(range(min(v, 3))), whole]
+        assert_engines_agree(group, singletons + mixed)
+        for blocks in (singletons, [whole], mixed, mixed + singletons):
+            family = LabeledFamily(group, tuple(enumerate(blocks)))
+            assert equivalence_classes(family) == support.naive_equivalence_classes(family)
+        assert len(stabilizer(group, whole)) == v
+        assert equivalence_classes(LabeledFamily(group, tuple(enumerate(singletons)))) \
+            == (tuple(range(v)),)
+
+
+def test_verify_bibd_witnesses_match_naive_check_on_perturbed_developments(
+        z7, z13, ea9, ferrero_family):
+    rng = random.Random(31)
+    families = [ferrero_family, segment_family(z7, (1, 4)), segment_family(z13, (1, 4, 10)),
+                segment_family(ea9, (1, 2))]
+    checked = 0
+    for family in families:
+        v = family.group.order
+        blocks = list(development(family))
+        for _ in range(15):
+            dropped = list(blocks)
+            del dropped[rng.randrange(len(dropped))]
+            i = rng.randrange(len(blocks))
+            x = rng.choice(blocks[i])
+            y = rng.choice([p for p in range(v) if p not in blocks[i]])
+            swapped = list(blocks)
+            swapped[i] = tuple(sorted(set(blocks[i]) - {x} | {y}))
+            for perturbed in (dropped, swapped):
+                expected = support.naive_design_violation(v, perturbed)
+                assert expected is not None
+                with pytest.raises(DesignCheckError) as err:
+                    verify_bibd(v, perturbed)
+                assert (err.value.condition, err.value.witness) == expected
+                checked += 1
+    assert checked == 120

@@ -12,6 +12,7 @@ from sdfam.specs import (
     family_to_doc,
     load_design_file,
     load_json,
+    parse_design_doc,
     parse_design_text,
     parse_endo,
     parse_endo_list,
@@ -52,6 +53,51 @@ def test_unknown_kind_is_a_spec_error():
         parse_group({"kind": "octonion", "n": 8})
     with pytest.raises(SpecFormatError):
         parse_group({"n": 8})
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "cyclic", "n": 7.0},
+    {"kind": "elementary_abelian", "p": "3", "k": 2},
+    {"kind": "cayley", "table": [[0, "1"], [1, 0]]},
+    {"kind": "cayley", "table": [[0, 1], [1, False]]},
+    {"kind": "cayley", "table": [0, 1]},
+    {"kind": "field", "p": 3, "n": 2, "modulus": "101"},
+    {"kind": "field", "p": 3, "n": None},
+])
+def test_non_integer_group_fields_are_spec_errors(doc):
+    with pytest.raises(SpecFormatError, match="must be"):
+        parse_group(doc)
+
+
+def test_field_modulus_null_means_default():
+    parsed = parse_group({"kind": "field", "p": 3, "n": 2, "modulus": None})
+    assert parsed.field.modulus == parse_group({"kind": "field", "p": 3, "n": 2}).field.modulus
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "scalar", "c": True},
+    {"kind": "table", "map": [0, 2, 4, 6, 1, 3, "5"]},
+    {"kind": "matrix", "entries": [2]},
+])
+def test_non_integer_endo_fields_are_spec_errors(doc):
+    with pytest.raises(SpecFormatError, match="must be"):
+        parse_endo(doc, parse_group({"kind": "cyclic", "n": 7}))
+
+
+def test_field_mult_element_must_be_integers():
+    gf9 = parse_group({"kind": "field", "p": 3, "n": 2})
+    with pytest.raises(SpecFormatError, match="must be"):
+        parse_endo({"kind": "field_mult", "element": [0, 1.0]}, gf9)
+
+
+def test_non_integer_family_and_design_fields_are_spec_errors():
+    with pytest.raises(SpecFormatError, match="must be"):
+        parse_family({"group": {"kind": "cyclic", "n": 7},
+                      "entries": [{"label": 1, "block": [1, "a"]}]})
+    for doc in ({"v": "abc", "blocks": [[0, 1]]}, {"v": 3, "blocks": [0, 1]},
+                {"v": 3, "blocks": [[0, 1]], "lambda": "1"}):
+        with pytest.raises(SpecFormatError, match="must be"):
+            parse_design_doc(doc)
 
 
 def test_parse_endo_kinds():
