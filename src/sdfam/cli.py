@@ -13,7 +13,6 @@ across repeated runs on identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from math import gcd
 from typing import Optional, Sequence
@@ -29,8 +28,8 @@ from .endos import (
     scalar_endo,
 )
 from .errors import CheckFailure, InvalidParameterError, SdfamError
-from .families import verify_bibd, verify_sdf
-from .groups import build_cyclic
+from .families import development, verify_bibd, verify_sdf
+from .groups import all_subgroups, build_cyclic, build_from_cayley
 from .specs import (
     ParsedGroup,
     certificate_to_doc,
@@ -172,7 +171,6 @@ def run_construct(args) -> int:
 
     design = extras.get("design")
     if design is None and args.dev:
-        from .families import development
         design = verify_bibd(build.family.group.order, development(build.family))
         extras["design"] = design
 
@@ -254,31 +252,11 @@ def run_analyze(args) -> int:
 def _unit_subgroups(n: int) -> list[tuple[int, ...]]:
     """All subgroups of the multiplicative group mod n, as sorted tuples."""
     units = [u for u in range(1, n) if gcd(u, n) == 1]
-
-    def close(gens):
-        elems = {1}
-        frontier = [1]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = (x * g) % n
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
-        return frozenset(elems)
-
-    seen = {frozenset({1})}
-    queue = [frozenset({1})]
-    while queue:
-        base = queue.pop()
-        for u in units:
-            if u in base:
-                continue
-            bigger = close(base | {u})
-            if bigger not in seen:
-                seen.add(bigger)
-                queue.append(bigger)
-    return sorted(tuple(sorted(s)) for s in seen)
+    if len(units) == 1:
+        return [(1,)]
+    index = {u: i for i, u in enumerate(units)}  # the unit 1 gets index 0
+    group = build_from_cayley([[index[a * b % n] for b in units] for a in units])
+    return sorted(tuple(sorted(units[i] for i in h)) for h in all_subgroups(group))
 
 
 def run_catalog(args) -> int:

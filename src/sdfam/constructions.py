@@ -16,7 +16,6 @@ from .endos import (
     Endomorphism,
     closure,
     dedup_endos,
-    difference_table,
     ensure_automorphism_group,
     field_mult_endo,
     fpf_failure,
@@ -24,6 +23,7 @@ from .endos import (
     one_minus,
     orbit,
     order6_segment_set,
+    require_fpf,
     zero_endo,
     _ensure_same_group,
 )
@@ -106,20 +106,13 @@ def _check_orbit_preconditions(group: FiniteGroup, maps: Sequence[Endomorphism])
         if not m.is_zero and not m.is_bijective:
             raise HypothesisError("S ⊆ Φ ∪ {0}", {"map": list(m.table)},
                                   "nonzero member is not an automorphism")
-    # Pairwise differences must be bijections; this is the working form of
-    # fixed-point-freeness and also forces |S(x)| = |S| on the nonzero elements.
-    for i, a in enumerate(maps):
-        for b in maps[i + 1:]:
-            diff = difference_table(a, b)
-            if len(set(diff)) == group.order:
-                continue
-            witness = {"first": list(a.table), "second": list(b.table)}
-            for x in group.nonzero():
-                if diff[x] == 0:
-                    witness["x"] = x
-                    break
-            raise HypothesisError("fpf", witness,
-                                  "pointwise difference of two members is not a bijection")
+    # Given S ⊆ Φ ∪ {0}, a(x) - b(x) = a(y) - b(y) gives a(-y+x) = b(-y+x), so
+    # pairwise differences are bijections exactly when |S(x)| = |S| for x != 0.
+    bad = fpf_failure(maps)
+    if bad is not None:
+        raise HypothesisError("fpf", {"first": list(bad.first.table),
+                                      "second": list(bad.second.table), "x": bad.x},
+                              "pointwise difference of two members is not a bijection")
     return maps
 
 
@@ -127,36 +120,27 @@ def _orbit_entries(group: FiniteGroup, maps: Sequence[Endomorphism]) -> LabeledF
     return LabeledFamily(group, tuple((x, orbit(maps, x)) for x in group.nonzero()))
 
 
+# verify_sdf conditions that orbit_family reports as hypotheses of the input.
+_UNIFORMITY_HYPOTHESES = {"stabilizer-size": "uniform stabilizer size",
+                          "class-size": "uniform class size"}
+
+
 def orbit_family(group: FiniteGroup, maps: Sequence[Endomorphism]) -> FamilyBuild:
     """The labeled family (x, S(x)) for x over the nonzero elements.
 
     Hypotheses checked: |S| > 1, nonzero members are automorphisms, pairwise
     differences are bijections, and the stabilizer and class sizes are
-    uniform over the labels.  The resulting certificate is then required to
-    have lam_prime = |S| * (|S| - 1) exactly.
+    uniform over the labels (checked by verify_sdf).  The resulting
+    certificate is then required to have lam_prime = |S| * (|S| - 1) exactly.
     """
     maps = _check_orbit_preconditions(group, maps)
     family = _orbit_entries(group, maps)
 
-    mus = [(label, len(stabilizer(group, block))) for label, block in family]
-    first_label, first_mu = mus[0]
-    for label, mu in mus[1:]:
-        if mu != first_mu:
-            raise HypothesisError("uniform stabilizer size", {
-                "label_a": first_label, "mu_a": first_mu, "label_b": label, "mu_b": mu})
-
-    classes = equivalence_classes(family)
-    sizes = {label: len(cls) for cls in classes for label in cls}
-    first_nu = sizes[first_label]
-    for label, _ in family:
-        if sizes[label] != first_nu:
-            raise HypothesisError("uniform class size", {
-                "label_a": first_label, "nu_a": first_nu,
-                "label_b": label, "nu_b": sizes[label]})
-
     try:
         cert = verify_sdf(family)
     except SdfCheckError as exc:
+        if exc.condition in _UNIFORMITY_HYPOTHESES:
+            raise HypothesisError(_UNIFORMITY_HYPOTHESES[exc.condition], exc.witness) from exc
         raise TheoremViolationError(exc.condition, exc.witness,
                                     "orbit family failed verification after its "
                                     "hypotheses passed") from exc
@@ -185,10 +169,7 @@ def ferrero(group: FiniteGroup, phi: Sequence[Endomorphism]) -> DesignBuild:
     ensure_automorphism_group(phi)
     if len(phi) < 2:
         raise HypothesisError("|Φ| > 1", {"order": len(phi)})
-    bad = fpf_failure(phi)
-    if bad is not None:
-        raise HypothesisError("Φ fpf", {"x": bad.x, "first": list(bad.first.table),
-                                        "second": list(bad.second.table)})
+    require_fpf(phi, "Φ fpf")
     build = orbit_family(group, phi)
     design = _developed_design(build)
     k = len(phi)
@@ -213,10 +194,7 @@ def ferrero_with_zero(group: FiniteGroup, phi: Sequence[Endomorphism]) -> ZeroDe
         raise HypothesisError("|Φ| > 1", {"order": len(phi)},
                               "the trivial group yields pair blocks whose development "
                               "does not match either case formula")
-    bad = fpf_failure(phi)
-    if bad is not None:
-        raise HypothesisError("Φ fpf", {"x": bad.x, "first": list(bad.first.table),
-                                        "second": list(bad.second.table)})
+    require_fpf(phi, "Φ fpf")
     maps = (zero_endo(group),) + tuple(phi)
     distinct_blocks = sorted({orbit(maps, x) for x in group.nonzero()})
     flags = [is_subgroup(group, b) for b in distinct_blocks]
@@ -314,6 +292,22 @@ def nearfield_family(field: FiniteField, elems: Sequence[Element]) -> FamilyBuil
     return orbit_family(group, maps)
 
 
+def _segment_set(group: FiniteGroup, maps: Sequence[Endomorphism]) -> tuple[Endomorphism, ...]:
+    """The distinct maps, after checking they live on group, 0,1 ∈ S and S = 1-S."""
+    if _ensure_same_group(maps) is not group:
+        raise InvalidParameterError("maps must live on the given group")
+    maps = dedup_endos(maps)
+    tables = {m.table for m in maps}
+    if zero_endo(group).table not in tables or identity_endo(group).table not in tables:
+        raise HypothesisError("0,1 ∈ S", {"size": len(maps)})
+    for m in maps:
+        check = one_minus(m)
+        if check.table not in tables:
+            raise HypothesisError("S = 1-S", {
+                "map": list(m.table), "one_minus": list(check.table)})
+    return maps
+
+
 def segments(group: FiniteGroup, maps: Sequence[Endomorphism]) -> FamilyBuild:
     """Segment family: 0,1 ∈ S, |S| > 2, S = 1-S, the nonzero members generate
     a fixed-point-free automorphism group, and |G| and |⟨S*⟩| are odd.
@@ -321,20 +315,10 @@ def segments(group: FiniteGroup, maps: Sequence[Endomorphism]) -> FamilyBuild:
     Certifies mu = 1, nu = 2, lam = |S|*(|S|-1)/2, and that the translate
     classes pair each label with its negation.
     """
-    if _ensure_same_group(maps) is not group:
-        raise InvalidParameterError("maps must live on the given group")
-    maps = dedup_endos(maps)
-
-    tables = {m.table for m in maps}
-    if zero_endo(group).table not in tables or identity_endo(group).table not in tables:
-        raise HypothesisError("0,1 ∈ S", {"size": len(maps)})
+    maps = _segment_set(group, maps)
     if len(maps) <= 2:
+        # 0,1 ∈ S and |S| <= 2 leave S = {0, 1}, which passes S = 1-S.
         raise HypothesisError("|S| > 2", {"size": len(maps)})
-    for m in maps:
-        check = one_minus(m)
-        if check.table not in tables:
-            raise HypothesisError("S = 1-S", {
-                "map": list(m.table), "one_minus": list(check.table)})
 
     nonzero = [m for m in maps if not m.is_zero]
     for m in nonzero:
@@ -342,10 +326,7 @@ def segments(group: FiniteGroup, maps: Sequence[Endomorphism]) -> FamilyBuild:
             raise HypothesisError("⟨S*⟩ fpf", {"map": list(m.table)},
                                   "nonzero member is not an automorphism")
     closed = closure(nonzero)
-    bad = fpf_failure(closed)
-    if bad is not None:
-        raise HypothesisError("⟨S*⟩ fpf", {"x": bad.x, "first": list(bad.first.table),
-                                           "second": list(bad.second.table)})
+    require_fpf(closed, "⟨S*⟩ fpf")
     if group.order % 2 == 0:
         raise HypothesisError("|G| odd", {"order": group.order})
     if len(closed) % 2 == 0:
@@ -399,18 +380,7 @@ def char2_segments_report(group: FiniteGroup, maps: Sequence[Endomorphism]) -> C
     if any(group.add(x, x) != 0 for x in group.elements()):
         x = next(x for x in group.elements() if group.add(x, x) != 0)
         raise HypothesisError("exponent 2", {"x": x, "order": group.order})
-    if _ensure_same_group(maps) is not group:
-        raise InvalidParameterError("maps must live on the given group")
-    maps = dedup_endos(maps)
-    tables = {m.table for m in maps}
-    if zero_endo(group).table not in tables or identity_endo(group).table not in tables:
-        raise HypothesisError("0,1 ∈ S", {"size": len(maps)})
-    for m in maps:
-        check = one_minus(m)
-        if check.table not in tables:
-            raise HypothesisError("S = 1-S", {
-                "map": list(m.table), "one_minus": list(check.table)})
-
+    maps = _segment_set(group, maps)
     family = _orbit_entries(group, maps)
     equality = True
     for label, block in family:

@@ -277,9 +277,9 @@ def closure(gens: Sequence[Endomorphism]) -> tuple[Endomorphism, ...]:
 def ensure_automorphism_group(maps: Sequence[Endomorphism]) -> FiniteGroup:
     """Check the list is a duplicate-free group of automorphisms."""
     group = _ensure_same_group(maps)
-    if len({m.table for m in maps}) != len(maps):
-        raise InvalidParameterError("automorphism group lists one map per element")
     tables = {m.table for m in maps}
+    if len(tables) != len(maps):
+        raise InvalidParameterError("automorphism group lists one map per element")
     if identity_endo(group).table not in tables:
         raise InvalidParameterError("automorphism group must contain the identity")
     for m in maps:
@@ -317,6 +317,15 @@ def fpf_failure(maps: Sequence[Endomorphism]) -> Optional[FpfWitness]:
 
 def is_fpf(maps: Sequence[Endomorphism]) -> bool:
     return fpf_failure(maps) is None
+
+
+def require_fpf(maps: Sequence[Endomorphism], condition: str) -> None:
+    """Raise HypothesisError(condition) with an (x, first, second) witness
+    unless the maps are fixed-point-free."""
+    bad = fpf_failure(maps)
+    if bad is not None:
+        raise HypothesisError(condition, {"x": bad.x, "first": list(bad.first.table),
+                                          "second": list(bad.second.table)})
 
 
 def orbit(maps: Sequence[Endomorphism], x: int) -> tuple[int, ...]:
@@ -404,10 +413,7 @@ def order6_segment_set(phi: Sequence[Endomorphism]) -> tuple[Endomorphism, ...]:
     returning it.
     """
     group = ensure_automorphism_group(phi)
-    bad = fpf_failure(phi)
-    if bad is not None:
-        raise HypothesisError("Φ fpf", {"x": bad.x, "first": list(bad.first.table),
-                                        "second": list(bad.second.table)})
+    require_fpf(phi, "Φ fpf")
     if len(phi) % 6 != 0:
         raise HypothesisError("6 divides |Φ|", {"order": len(phi)})
     sixes = sorted((a for a in phi if a.order() == 6), key=lambda e: e.table)

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DesignCheckError, InvalidParameterError, SdfCheckError, TheoremViolationError
-from .groups import FiniteGroup, Subgroup
+from .groups import MAX_ORDER, FiniteGroup, Subgroup
 
 Block = tuple  # sorted duplicate-free tuple of element indices
 Label = Union[int, str]
@@ -242,10 +242,13 @@ def verify_sdf(family: LabeledFamily) -> SdfCertificate:
 def verify_bibd(v: int, blocks: Sequence[Iterable[int]]) -> Design:
     """Exhaustive balanced-incomplete-block-design check over all point pairs.
 
+    v is held to the group-order cap, as the pair counts take v*v entries.
     Raises DesignCheckError with the first violating block or pair.
     """
     if v < 2:
         raise InvalidParameterError(f"designs need at least 2 points, got {v}")
+    if v > MAX_ORDER:
+        raise InvalidParameterError(f"design order {v} exceeds the cap {MAX_ORDER}")
     if not blocks:
         raise InvalidParameterError("design has no blocks")
     normalized = []

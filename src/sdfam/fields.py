@@ -13,7 +13,8 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidParameterError, IrreducibilityError
-from .groups import FiniteGroup, build_elementary_abelian, digits_of, index_of_digits, is_prime
+from .groups import (FiniteGroup, build_elementary_abelian, check_power_cap, digits_of,
+                     index_of_digits, is_prime)
 
 Element = tuple  # length-n coefficient tuple over Z_p
 
@@ -160,7 +161,9 @@ class FiniteField:
 
 
 def build_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> FiniteField:
-    """GF(p^n); picks the deterministic smallest irreducible modulus if omitted."""
+    """GF(p^n); picks the deterministic smallest irreducible modulus if omitted.
+    p^n is held to the group-order cap before any other check or search."""
+    check_power_cap(p, n)
     if not is_prime(p):
         raise InvalidParameterError(f"{p} is not prime")
     if n < 1:

@@ -130,6 +130,8 @@ def build_cyclic(n: int, *, max_order: int = MAX_ORDER) -> FiniteGroup:
     """The cyclic group Z_n with addition mod n."""
     if not isinstance(n, int) or n < 2:
         raise InvalidParameterError(f"cyclic group order must be an integer >= 2, got {n!r}")
+    if n > max_order:
+        raise InvalidParameterError(f"group order {n} exceeds the cap {max_order}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, max_order=max_order)
 
@@ -150,15 +152,22 @@ def index_of_digits(digits: Sequence[int], p: int) -> int:
     return index
 
 
+def check_power_cap(p: int, k: int, max_order: int = MAX_ORDER) -> None:
+    """Reject p^k > max_order when p >= 2 and k >= 1, without computing a huge p^k."""
+    if p >= 2 and k >= max_order.bit_length():
+        raise InvalidParameterError(f"group order {p}^{k} exceeds the cap {max_order}")
+    if p >= 2 and k >= 1 and p ** k > max_order:
+        raise InvalidParameterError(f"group order {p ** k} exceeds the cap {max_order}")
+
+
 def build_elementary_abelian(p: int, k: int, *, max_order: int = MAX_ORDER) -> FiniteGroup:
     """(Z_p)^k with componentwise addition; index = sum(digit_i * p^i)."""
+    check_power_cap(p, k, max_order)
     if not is_prime(p):
         raise InvalidParameterError(f"{p} is not prime")
     if k < 1:
         raise InvalidParameterError(f"exponent must be positive, got {k}")
     v = p ** k
-    if v > max_order:
-        raise InvalidParameterError(f"group order {v} exceeds the cap {max_order}")
     digs = [digits_of(i, p, k) for i in range(v)]
     table = [[index_of_digits([(a + b) % p for a, b in zip(dx, dy)], p) for dy in digs]
              for dx in digs]

@@ -236,3 +236,144 @@ def naive_design_violation(v: int, blocks):
     if lam == 0:
         return "pair-coverage", {"pair": [0, 1], "count": 0}
     return None
+
+
+def naive_pairwise_fpf(maps):
+    """The first pair of maps, in list order, whose pointwise difference is not
+    a bijection, as {"first", "second", "x"} with x the first nonzero element
+    the difference sends to 0; None when every difference is a bijection."""
+    group = maps[0].group
+    for i, a in enumerate(maps):
+        for b in maps[i + 1:]:
+            diff = [group.sub(a.table[x], b.table[x]) for x in group.elements()]
+            if len(set(diff)) == group.order:
+                continue
+            witness = {"first": list(a.table), "second": list(b.table)}
+            for x in group.nonzero():
+                if diff[x] == 0:
+                    witness["x"] = x
+                    break
+            return witness
+    return None
+
+
+def naive_unit_subgroups(n: int) -> list[tuple[int, ...]]:
+    """All subgroups of the multiplicative group mod n, as sorted tuples, by
+    closing every extension of a known subgroup by one more unit."""
+    units = units_mod(n)
+
+    def close(gens):
+        elems = {1}
+        frontier = [1]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = (x * g) % n
+                if y not in elems:
+                    elems.add(y)
+                    frontier.append(y)
+        return frozenset(elems)
+
+    seen = {frozenset({1})}
+    queue = [frozenset({1})]
+    while queue:
+        base = queue.pop()
+        for u in units:
+            if u in base:
+                continue
+            bigger = close(base | {u})
+            if bigger not in seen:
+                seen.add(bigger)
+                queue.append(bigger)
+    return sorted(tuple(sorted(s)) for s in seen)
+
+
+def naive_uniformity_failure(family):
+    """The first label whose stabilizer size, then class size, differs from
+    the first label's, as (condition, witness); None when both are uniform."""
+    group = family.group
+    first, rest = family.entries[0], family.entries[1:]
+    mu = len(naive_stabilizer(group, first.block))
+    for label, block in rest:
+        m = len(naive_stabilizer(group, block))
+        if m != mu:
+            return "uniform stabilizer size", {"label_a": first.label, "mu_a": mu,
+                                               "label_b": label, "mu_b": m}
+    sizes = {label: len(cls) for cls in naive_equivalence_classes(family) for label in cls}
+    for label, _ in rest:
+        if sizes[label] != sizes[first.label]:
+            return "uniform class size", {"label_a": first.label, "nu_a": sizes[first.label],
+                                          "label_b": label, "nu_b": sizes[label]}
+    return None
+
+
+def naive_orbit_outcome(group, maps):
+    """What orbit_family must report, by the naive routes.
+
+    ("HypothesisError", condition, witness) for a failed hypothesis, else
+    ("ok", (v, k, mu, nu, lam_prime, lam)) with every parameter recounted
+    by the v-element scans and naive_diff_counts.
+    """
+    from sdfam import LabeledFamily
+
+    maps = list(dict.fromkeys(maps))
+    if len(maps) < 2:
+        return "HypothesisError", "|S| > 1", {"size": len(maps)}
+    for m in maps:
+        if len(set(m.table)) != group.order and any(m.table):
+            return "HypothesisError", "S ⊆ Φ ∪ {0}", {"map": list(m.table)}
+    witness = naive_pairwise_fpf(maps)
+    if witness is not None:
+        return "HypothesisError", "fpf", witness
+    family = LabeledFamily(group, tuple(
+        (x, tuple(sorted({m.table[x] for m in maps}))) for x in group.nonzero()))
+    failure = naive_uniformity_failure(family)
+    if failure is not None:
+        return ("HypothesisError",) + failure
+    first = family.entries[0]
+    mu = len(naive_stabilizer(group, first.block))
+    nu = sum(naive_are_translates(group, block, first.block) is not None
+             for _, block in family.entries)
+    lam_prime = naive_diff_counts(group, family.entries)[1]
+    return "ok", (group.order, len(first.block), mu, nu, lam_prime, lam_prime // (mu * nu))
+
+
+def naive_segments_outcome(group, maps):
+    """What segments must report, by the naive routes, in the same form as
+    naive_orbit_outcome; the closure of the nonzero maps is found by
+    composing until nothing new appears, and its fixed points by checking
+    every nonzero x against every earlier member."""
+    maps = list(dict.fromkeys(maps))
+    tables = {m.table for m in maps}
+    zero, one = (0,) * group.order, tuple(group.elements())
+    if zero not in tables or one not in tables:
+        return "HypothesisError", "0,1 ∈ S", {"size": len(maps)}
+    if len(maps) <= 2:
+        return "HypothesisError", "|S| > 2", {"size": len(maps)}
+    for m in maps:
+        one_minus = tuple(group.sub(x, m.table[x]) for x in group.elements())
+        if one_minus not in tables:
+            return "HypothesisError", "S = 1-S", {"map": list(m.table),
+                                                  "one_minus": list(one_minus)}
+    nonzero = [m.table for m in maps if m.table != zero]
+    for t in nonzero:
+        if len(set(t)) != group.order:
+            return "HypothesisError", "⟨S*⟩ fpf", {"map": list(t)}
+    closed = {one} | set(nonzero)
+    while True:
+        more = {tuple(a[x] for x in b) for a in nonzero for b in closed} - closed
+        if not more:
+            break
+        closed |= more
+    closed = sorted(closed)
+    for x in group.nonzero():
+        for j, b in enumerate(closed):
+            a = next((a for a in closed[:j] if a[x] == b[x]), None)
+            if a is not None:
+                return "HypothesisError", "⟨S*⟩ fpf", {"x": x, "first": list(a),
+                                                       "second": list(b)}
+    if group.order % 2 == 0:
+        return "HypothesisError", "|G| odd", {"order": group.order}
+    if len(closed) % 2 == 0:
+        return "HypothesisError", "|⟨S*⟩| odd", {"order": len(closed)}
+    return naive_orbit_outcome(group, maps)

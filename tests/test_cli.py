@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sdfam.cli import main
+import support
+from sdfam.cli import _unit_subgroups, main
 from sdfam.specs import dump_json
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -232,3 +239,34 @@ def test_non_integer_group_fields_exit_one(files, capsys, spec):
                  "--autos", autos, "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().err)
     assert doc["error"] == "SpecFormatError" and "must be an integer" in doc["message"]
+
+
+def test_unit_subgroups_match_the_naive_closure():
+    for n in range(2, 49):
+        assert _unit_subgroups(n) == support.naive_unit_subgroups(n), n
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("group.json", dump_json({"kind": "cyclic", "n": 1500}),
+     ["analyze", "--group", "group.json", "--autos", "autos.json"],
+     "group order 1500 exceeds the cap 512"),
+    ("group.json", dump_json({"kind": "elementary_abelian", "p": 2305843009213693951, "k": 1}),
+     ["analyze", "--group", "group.json", "--autos", "autos.json"],
+     "group order 2305843009213693951 exceeds the cap 512"),
+    ("group.json", dump_json({"kind": "field", "p": 2, "n": 40}),
+     ["analyze", "--group", "group.json", "--autos", "autos.json"],
+     "group order 2^40 exceeds the cap 512"),
+    ("design.txt", "4000 2 1 1\n0 1\n",
+     ["verify-design", "--design", "design.txt"],
+     "design order 4000 exceeds the cap 512"),
+], ids=["cyclic-1500", "elementary-abelian-huge-prime", "field-2^40", "design-v-4000"])
+def test_caps_are_checked_before_the_work_they_bound(tmp_path, name, text, argv, message):
+    # A subprocess with a timeout, so that a lost cap check fails instead of
+    # holding the suite for seconds or exhausting memory.
+    (tmp_path / name).write_text(text)
+    (tmp_path / "autos.json").write_text(dump_json([{"kind": "scalar", "c": 1}]))
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-m", "sdfam", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == "" and proc.stderr == f"error: {message}\n"

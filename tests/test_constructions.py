@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +11,7 @@ from sdfam import (
     HypothesisError,
     InvalidParameterError,
     build_cyclic,
+    build_elementary_abelian,
     build_field,
     additive_group,
     char2_segments_report,
@@ -409,3 +413,120 @@ def test_labeled_and_dedup_agree_on_every_construction(z7, ea9, gf9, gf16):
     for build in builds:
         dedup_cert = verify_sdf(build.family.dedup())
         assert dedup_cert.lam == build.certificate.lam
+
+
+# ------------------------------------------- single routes against the oracles
+#
+# orbit_family leaves uniformity to verify_sdf and fixed-point-freeness to
+# fpf_failure, and segments shares its segment-set checks with
+# char2_segments_report; the naive routes in support recompute every outcome.
+
+DIFF_GROUPS = [(n, None) for n in range(2, 41)] + [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _diff_group(p, k):
+    return build_cyclic(p) if k is None else build_elementary_abelian(p, k)
+
+
+def _coeff_map(group, p, k, c):
+    """x -> c*x on Z_p (k None), or the matrix c on (Z_p)^k."""
+    return scalar_endo(group, c % p) if k is None else matrix_endo(group, c)
+
+
+def _random_coeffs(rng, p, k):
+    if k is None:
+        return rng.randrange(p)
+    if rng.random() < 0.3:
+        c = rng.randrange(p)
+        return [[c * (i == j) for j in range(k)] for i in range(k)]
+    return [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
+
+
+def _one_minus_coeffs(p, k, c):
+    if k is None:
+        return (1 - c) % p
+    return [[((i == j) - c[i][j]) % p for j in range(k)] for i in range(k)]
+
+
+def _draw_orbit_set(rng, group, p, k):
+    """Random maps, or the cyclic group of a random automorphism (with zero)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [_coeff_map(group, p, k, _random_coeffs(rng, p, k))
+                for _ in range(rng.randint(2, 5))]
+    gen = _coeff_map(group, p, k, _random_coeffs(rng, p, k))
+    while not gen.is_bijective:
+        gen = _coeff_map(group, p, k, _random_coeffs(rng, p, k))
+    maps = list(closure([gen])) + ([zero_endo(group)] if kind == 2 else [])
+    rng.shuffle(maps)
+    return maps
+
+
+def _draw_segment_set(rng, group, p, k):
+    """{0, 1} together with random maps t and 1 - t, sometimes one member short."""
+    maps = [zero_endo(group), identity_endo(group)]
+    for _ in range(rng.randint(1, 3)):
+        c = _random_coeffs(rng, p, k)
+        maps += [_coeff_map(group, p, k, c), _coeff_map(group, p, k, _one_minus_coeffs(p, k, c))]
+    if rng.random() < 0.3:
+        del maps[rng.randrange(len(maps))]
+    rng.shuffle(maps)
+    return maps
+
+
+def _outcome(build, group, maps):
+    try:
+        return "ok", cert_tuple(build(group, maps).certificate)
+    except HypothesisError as exc:
+        return "HypothesisError", exc.condition, exc.witness
+
+
+def _assert_valid_fpf_witness(witness, maps):
+    assert list(witness) == ["first", "second", "x"]
+    tables = {m.table for m in maps}
+    first, second, x = witness["first"], witness["second"], witness["x"]
+    assert tuple(first) in tables and tuple(second) in tables and first != second
+    assert x != 0 and first[x] == second[x]
+
+
+def test_orbit_and_segments_match_the_naive_routes():
+    seen = collections.Counter()
+    for seed in range(8):
+        rng = random.Random(seed)
+        for _ in range(130):
+            p, k = rng.choice(DIFF_GROUPS)
+            group = _diff_group(p, k)
+            maps = _draw_orbit_set(rng, group, p, k)
+            got, want = _outcome(orbit_family, group, maps), support.naive_orbit_outcome(group, maps)
+            seen["orbit", got[1] if got[0] != "ok" else "ok"] += 1
+            if want[:2] == ("HypothesisError", "fpf"):
+                # fpf_failure scans x first, the pairwise route pairs first: the
+                # witnesses may differ but must both be valid.
+                assert got[:2] == want[:2], (maps, got, want)
+                _assert_valid_fpf_witness(got[2], maps)
+            else:
+                assert got == want, (maps, got, want)
+
+            p, k = rng.choice(DIFF_GROUPS)
+            group = _diff_group(p, k)
+            maps = _draw_segment_set(rng, group, p, k)
+            got = _outcome(segments, group, maps)
+            assert got == support.naive_segments_outcome(group, maps), maps
+            seen["segments", got[1] if got[0] != "ok" else "ok"] += 1
+    assert {cond for kind, cond in seen if kind == "orbit"} == {
+        "ok", "|S| > 1", "S ⊆ Φ ∪ {0}", "fpf", "uniform stabilizer size", "uniform class size"}
+    assert {cond for kind, cond in seen if kind == "segments"} == {
+        "ok", "0,1 ∈ S", "|S| > 2", "S = 1-S", "⟨S*⟩ fpf", "|G| odd", "|⟨S*⟩| odd"}
+
+
+def test_fpf_witness_names_the_first_element_with_a_collision():
+    z8 = build_cyclic(8)
+    maps = scalar_set(z8, (3, 1, 5))
+    assert support.naive_pairwise_fpf(maps) == {
+        "first": list(maps[0].table), "second": list(maps[1].table), "x": 4}
+    with pytest.raises(HypothesisError) as err:
+        orbit_family(z8, maps)
+    assert err.value.condition == "fpf"
+    assert err.value.witness == {"first": list(maps[1].table),
+                                 "second": list(maps[2].table), "x": 2}
