@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from sdfam import FiniteGroup, build_from_cayley
+from sdfam import FiniteGroup, LabeledFamily, build_from_cayley
 
 
 def naive_pair_counts(v: int, blocks) -> dict:
@@ -314,8 +314,6 @@ def naive_orbit_outcome(group, maps):
     ("ok", (v, k, mu, nu, lam_prime, lam)) with every parameter recounted
     by the v-element scans and naive_diff_counts.
     """
-    from sdfam import LabeledFamily
-
     maps = list(dict.fromkeys(maps))
     if len(maps) < 2:
         return "HypothesisError", "|S| > 1", {"size": len(maps)}
