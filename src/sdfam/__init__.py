@@ -75,6 +75,7 @@ from .families import (
     is_design_automorphism,
     is_doubly_transitive,
     make_block,
+    non_automorphism,
     stabilizer,
     translate,
     verify_bibd,

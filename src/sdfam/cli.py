@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from . import constructions
 from .endos import (
-    center,
     classification_check,
     closure,
     fpf_failure,
@@ -231,6 +230,7 @@ def run_analyze(args) -> int:
     parsed = parse_group(load_json(args.group), args.group)
     phi = _load_closed_group(args.autos, parsed)
     witness = fpf_failure(phi)
+    cls = classification_check(phi)
     report = {
         "order": len(phi),
         "fpf": witness is None,
@@ -240,11 +240,10 @@ def run_analyze(args) -> int:
             "second": list(witness.second.table),
         },
         "cyclic": is_cyclic(phi),
-        "center_order": len(center(phi)),
+        "center_order": cls.center_order,
+        "quotient_order": cls.quotient_order,
+        "member": cls.member,
     }
-    cls = classification_check(phi)
-    report["quotient_order"] = cls.quotient_order
-    report["member"] = cls.member
     _write(dump_json(report), args.output)
     return 0
 

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .endos import (
     Endomorphism,
+    automorphism_generators,
     closure,
     dedup_endos,
     ensure_automorphism_group,
@@ -40,8 +41,8 @@ from .families import (
     SdfCertificate,
     development,
     equivalence_classes,
-    is_design_automorphism,
     is_doubly_transitive,
+    non_automorphism,
     stabilizer,
     verify_bibd,
     verify_sdf,
@@ -229,22 +230,29 @@ def transnormal(group: FiniteGroup, maps: Sequence[Endomorphism],
     elements; the translations together with Ψ act doubly transitively on it.
 
     Normalization is read as conjugation-stability: ψ σ ψ⁻¹ ∈ S for every
-    ψ ∈ Ψ and σ ∈ S.
+    ψ ∈ Ψ and σ ∈ S.  Normalization and the automorphism checks run over
+    generators (of G for the translations, of Ψ), which decides them for the
+    whole group; on a failure the full scan names the first witness.
     """
-    ensure_automorphism_group(psi)
+    psi_gens = automorphism_generators(psi)
     maps = _check_orbit_preconditions(group, maps)
     if psi[0].group is not group:
         raise InvalidParameterError("Ψ must act on the same group")
 
     map_tables = {m.table for m in maps}
-    for p in psi:
-        p_inv = p.inverse()
-        for s in maps:
-            conj = p.compose(s).compose(p_inv)
-            if conj.table not in map_tables:
-                raise HypothesisError("Ψ normalizes S", {
-                    "psi": list(p.table), "sigma": list(s.table),
-                    "conjugate": list(conj.table)})
+
+    def normalizing_failure(conjugators):
+        for p in conjugators:
+            p_inv = p.inverse()
+            for s in maps:
+                conj = p.compose(s).compose(p_inv)
+                if conj.table not in map_tables:
+                    return {"psi": list(p.table), "sigma": list(s.table),
+                            "conjugate": list(conj.table)}
+        return None
+
+    if normalizing_failure(psi_gens) is not None:
+        raise HypothesisError("Ψ normalizes S", normalizing_failure(psi))
 
     orbit_of_one = {p.table[1] for p in psi}
     if orbit_of_one != set(group.nonzero()):
@@ -257,16 +265,18 @@ def transnormal(group: FiniteGroup, maps: Sequence[Endomorphism],
         raise TheoremViolationError(exc.condition, exc.witness) from exc
     design = _developed_design(build)
 
-    translations = [tuple(group.table[x][g] for x in group.elements())
-                    for g in group.elements()]
-    for perm in translations:
-        if not is_design_automorphism(perm, design):
-            raise TheoremViolationError("translation-automorphism", {"perm": list(perm)})
-    for p in psi:
-        if not is_design_automorphism(p.table, design):
-            raise TheoremViolationError("psi-automorphism", {"perm": list(p.table)})
+    def translation(g):
+        return tuple(row[g] for row in group.table)
 
-    doubly = is_doubly_transitive(translations + [p.table for p in psi], group.order)
+    translation_gens = [translation(g) for g in group.generators]
+    bad = non_automorphism(design, map(translation, group.elements()), translation_gens)
+    if bad is not None:
+        raise TheoremViolationError("translation-automorphism", {"perm": list(bad)})
+    bad = non_automorphism(design, (p.table for p in psi), [p.table for p in psi_gens])
+    if bad is not None:
+        raise TheoremViolationError("psi-automorphism", {"perm": list(bad)})
+
+    doubly = is_doubly_transitive(translation_gens + [p.table for p in psi_gens], group.order)
     if not doubly:
         raise TheoremViolationError("double-transitivity", {})
     return TransnormalBuild(build.family, build.certificate, design, doubly)

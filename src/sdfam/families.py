@@ -106,6 +106,14 @@ class Design:
             raise InvalidParameterError(f"designs need uniform block size {self.k}")
         object.__setattr__(self, "blocks", blocks)
 
+    @classmethod
+    def _trusted(cls, v: int, k: int, lam: int, blocks: Sequence[Block]) -> "Design":
+        # For distinct sorted blocks of size k that verify_bibd has checked.
+        obj = object.__new__(cls)
+        for name, value in (("v", v), ("k", k), ("lam", lam), ("blocks", tuple(sorted(blocks)))):
+            object.__setattr__(obj, name, value)
+        return obj
+
 
 def translate(group: FiniteGroup, block: Block, g: int) -> Block:
     """The right translate B + g."""
@@ -290,7 +298,7 @@ def verify_bibd(v: int, blocks: Sequence[Iterable[int]]) -> Design:
     if lam == 0:
         raise DesignCheckError("pair-coverage", {"pair": [0, 1], "count": 0},
                                "every pair must be covered at least once")
-    return Design(v, k, lam, tuple(normalized))
+    return Design._trusted(v, k, lam, normalized)
 
 
 def is_design_automorphism(perm: Sequence[int], design: Design) -> bool:
@@ -301,6 +309,19 @@ def is_design_automorphism(perm: Sequence[int], design: Design) -> bool:
         raise InvalidParameterError("permutation must be a bijection on the points")
     blocks = set(design.blocks)
     return all(tuple(sorted(perm[x] for x in block)) in blocks for block in blocks)
+
+
+def non_automorphism(design: Design, perms: Iterable[Sequence[int]],
+                     generators: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The first of ``perms`` that is not an automorphism of the design, or None.
+
+    ``generators`` must generate the group that ``perms`` lists.  A design's
+    automorphisms form a group, so when every generator is one, so is every
+    member of ``perms``, and only a failure pays for the scan of ``perms``.
+    """
+    if all(is_design_automorphism(g, design) for g in generators):
+        return None
+    return next((tuple(p) for p in perms if not is_design_automorphism(p, design)), None)
 
 
 def is_doubly_transitive(perms: Sequence[Sequence[int]], v: int) -> bool:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
+import numpy as np
+
 from sdfam import FiniteGroup, LabeledFamily, build_from_cayley
 
 
@@ -375,3 +377,64 @@ def naive_segments_outcome(group, maps):
     if len(closed) % 2 == 0:
         return "HypothesisError", "|⟨S*⟩| odd", {"order": len(closed)}
     return naive_orbit_outcome(group, maps)
+
+
+# The full scans that the generator checks replaced; each names the witness
+# the library must still report.
+
+def naive_associativity_witness(table):
+    """The first (x, y, z), in that order, with (x+y)+z != x+(y+z), or None,
+    by one v x v slab of (x+y)+z against x+(y+z) per x."""
+    arr = np.asarray(table)
+    for x in range(len(arr)):
+        lhs, rhs = arr[arr[x]], arr[x][arr]
+        if not np.array_equal(lhs, rhs):
+            y, z = map(int, np.argwhere(lhs != rhs)[0])
+            return x, y, z
+    return None
+
+
+def naive_hom_witness(group, table):
+    """The first (x, y), in that order, with f(x+y) != f(x)+f(y), or None."""
+    for x in group.elements():
+        for y in group.elements():
+            if table[group.add(x, y)] != group.add(table[x], table[y]):
+                return x, y
+    return None
+
+
+def naive_is_closed(maps) -> bool:
+    """Whether every composition a∘b of two listed maps is listed."""
+    tables = {m.table for m in maps}
+    return all(tuple(a.table[x] for x in b.table) in tables for a in maps for b in maps)
+
+
+def naive_normalizing_witness(psi, maps):
+    """The first (ψ, σ), ψ in list order and then σ, with ψσψ⁻¹ not in S, as
+    the {"psi", "sigma", "conjugate"} witness of "Ψ normalizes S"; or None."""
+    tables = {m.table for m in maps}
+    for p in psi:
+        inv = [0] * len(p.table)
+        for x, y in enumerate(p.table):
+            inv[y] = x
+        for s in maps:
+            conj = tuple(p.table[s.table[inv[x]]] for x in range(len(inv)))
+            if conj not in tables:
+                return {"psi": list(p.table), "sigma": list(s.table), "conjugate": list(conj)}
+    return None
+
+
+def naive_center_tables(phi) -> list:
+    """Tables of the members that commute with every member, sorted."""
+    def comp(a, b):
+        return tuple(a.table[x] for x in b.table)
+    return sorted(a.table for a in phi if all(comp(a, b) == comp(b, a) for b in phi))
+
+
+def naive_non_automorphism(blocks, perms):
+    """The first permutation that maps some block outside the block set, or None."""
+    blocks = {tuple(sorted(b)) for b in blocks}
+    for perm in perms:
+        if any(tuple(sorted(perm[x] for x in b)) not in blocks for b in blocks):
+            return tuple(perm)
+    return None

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sdfam import (
+    Design,
     DesignCheckError,
     InvalidParameterError,
     LabeledFamily,
@@ -180,6 +181,23 @@ def test_verify_bibd_detects_repeated_block():
     with pytest.raises(DesignCheckError) as err:
         verify_bibd(3, [(0, 1), (0, 1), (1, 2), (0, 2)])
     assert err.value.condition == "repeated-block"
+
+
+def test_verify_bibd_design_equals_a_checked_design(ferrero_family):
+    # verify_bibd takes the trusted constructor; the checking one, given the
+    # same blocks unsorted, builds an equal Design.
+    blocks = development(ferrero_family)
+    design = verify_bibd(7, list(reversed(blocks)))
+    assert design.blocks == tuple(sorted(blocks))
+    shuffled = tuple(tuple(reversed(b)) for b in reversed(blocks))
+    assert Design(7, 3, 2, shuffled) == design
+
+
+def test_direct_design_calls_are_checked():
+    with pytest.raises(InvalidParameterError):
+        Design(3, 2, 1, ((0, 1), (1, 0), (1, 2)))
+    with pytest.raises(InvalidParameterError):
+        Design(3, 2, 1, ((0, 1), (0, 1, 2)))
 
 
 def test_design_automorphisms(z7, ferrero_family):

@@ -7,6 +7,7 @@ import pytest
 from sdfam import (
     GroupAxiomError,
     InvalidParameterError,
+    Subgroup,
     all_subgroups,
     build_cyclic,
     build_direct_product,
@@ -151,6 +152,23 @@ def test_generated_subgroups_pass_membership_and_lagrange(s3, d4, q8_group, z6, 
             sub = subgroup_generated(group, gens)
             assert is_subgroup(group, sub.elements)
             assert group.order % len(sub) == 0
+
+
+def test_closure_built_subgroups_equal_checked_ones(s3, d4, q8_group, z6, ea9):
+    # subgroup_generated and all_subgroups skip the is_subgroup scan; a
+    # Subgroup built from the same elements by the checking path is equal.
+    for group in (s3, d4, q8_group, z6, ea9):
+        for sub in all_subgroups(group):
+            assert Subgroup(group, tuple(reversed(sub.elements))) == sub
+            assert subgroup_generated(group, sub.elements) == sub
+
+
+def test_user_supplied_subgroup_is_checked(z7, s3):
+    with pytest.raises(InvalidParameterError):
+        Subgroup(z7, (0, 1, 2))
+    with pytest.raises(InvalidParameterError):
+        Subgroup(s3, (0, 1, 2, 3))
+    assert Subgroup(z7, (0, 0)).elements == (0,)
 
 
 def test_all_subgroups_of_z6(z6):
