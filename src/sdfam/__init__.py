@@ -48,7 +48,6 @@ from .endos import (
     classification_check,
     closure,
     cyclic_generated,
-    difference_table,
     field_mult_endo,
     fpf_failure,
     halving_endo,

@@ -40,6 +40,7 @@ from .specs import (
     load_json,
     parse_endo_list,
     parse_family,
+    parse_field_elements,
     parse_group,
 )
 
@@ -129,13 +130,11 @@ def run_construct(args) -> int:
 
     if method == "nearfield":
         field_doc = load_json(_require(args, "field"))
-        if field_doc.get("kind") != "field":
+        if not isinstance(field_doc, dict) or field_doc.get("kind") != "field":
             raise UsageError("--field must point to a spec of kind 'field'")
         parsed = parse_group(field_doc, args.field)
-        elems = load_json(_require(args, "elements"))
-        if not isinstance(elems, list):
-            raise UsageError("--elements must be a JSON list of coefficient vectors")
-        build = constructions.nearfield_family(parsed.field, [tuple(e) for e in elems])
+        elems = parse_field_elements(load_json(_require(args, "elements")), args.elements)
+        build = constructions.nearfield_family(parsed.field, elems)
         group_spec = parsed.spec
     else:
         parsed = parse_group(load_json(_require(args, "group")), args.group)

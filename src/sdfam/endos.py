@@ -21,7 +21,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .fields import Element, FiniteField, additive_group
-from .groups import FiniteGroup, digits_of, index_of_digits
+from .groups import FiniteGroup, digits_of, elementary_abelian_table, index_of_digits
 
 
 def _hom_witness(group: FiniteGroup, table: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -162,9 +162,6 @@ def scalar_endo(group: FiniteGroup, c: int) -> Endomorphism:
 
 def _elementary_abelian_shape(group: FiniteGroup) -> tuple[int, int]:
     """(p, k) if the group has the canonical (Z_p)^k table, else an error."""
-    cached = getattr(group, "_ea_shape", None)
-    if cached is not None:
-        return cached
     v = group.order
     p = 2
     while v % p:
@@ -175,16 +172,11 @@ def _elementary_abelian_shape(group: FiniteGroup) -> tuple[int, int]:
         k += 1
     if m != 1:
         raise InvalidParameterError(f"group order {v} is not a prime power")
-    digs = [digits_of(i, p, k) for i in range(v)]
-    for x in range(v):
-        dx = digs[x]
-        row = group.table[x]
-        for y in range(v):
-            expected = index_of_digits([(a + b) % p for a, b in zip(dx, digs[y])], p)
-            if row[y] != expected:
-                raise InvalidParameterError(
-                    "group table does not match the canonical elementary abelian encoding")
-    group._ea_shape = (p, k)
+    canonical = elementary_abelian_table(p, k)
+    # Row by row, so that no second tuple table is built.
+    if any(row != tuple(want.tolist()) for row, want in zip(group.table, canonical)):
+        raise InvalidParameterError(
+            "group table does not match the canonical elementary abelian encoding")
     return (p, k)
 
 
@@ -236,14 +228,6 @@ def one_minus(alpha: Endomorphism) -> MapCheck:
     table = tuple(g.sub(x, alpha.table[x]) for x in g.elements())
     witness = _hom_witness(g, table)
     return MapCheck(g, table, witness is None, len(set(table)) == g.order, witness)
-
-
-def difference_table(alpha: Endomorphism, beta: Endomorphism) -> tuple[int, ...]:
-    """Value table of the pointwise difference x -> alpha(x) - beta(x)."""
-    g = alpha.group
-    if beta.group is not g:
-        raise InvalidParameterError("maps live on different groups")
-    return tuple(g.sub(alpha.table[x], beta.table[x]) for x in g.elements())
 
 
 def _ensure_same_group(maps: Sequence[Endomorphism]) -> FiniteGroup:

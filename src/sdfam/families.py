@@ -132,7 +132,7 @@ def stabilizer(group: FiniteGroup, block: Block) -> Subgroup:
     start = table[group.negs[block[0]]]
     candidates = [start[b] for b in block]
     fixers = [g for g in candidates if all(table[b][g] in want for b in block)]
-    return Subgroup(group, tuple(fixers))
+    return Subgroup._trusted(group, tuple(sorted(fixers)))
 
 
 def are_translates(group: FiniteGroup, b: Block, c: Block) -> Optional[int]:

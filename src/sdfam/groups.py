@@ -10,7 +10,7 @@ numpy under a documented order cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,23 +45,25 @@ class FiniteGroup:
     log2(order) of them.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None,
-                 *, max_order: int = MAX_ORDER):
-        tab = tuple(tuple(int(x) for x in row) for row in table)
-        v = len(tab)
+    def __init__(self, table: Sequence[Sequence[int]], *, max_order: int = MAX_ORDER):
+        v = len(table)
         if v < 2:
             raise InvalidParameterError(f"group order must be at least 2, got {v}")
-        if v > max_order:
-            raise InvalidParameterError(f"group order {v} exceeds the cap {max_order}")
-        if names is not None and len(names) != v:
-            raise InvalidParameterError("name table length must equal the group order")
-        negs, commutative, generators = _validate_table(tab, v)
+        check_order_cap(v, max_order)
+        if any(len(row) != v for row in table):
+            raise InvalidParameterError(f"addition table must be {v}x{v}")
+        # int() returns an int entry itself, so the view shares the caller's ints.
+        tab = tuple(tuple(map(int, row)) for row in table)
+        try:
+            arr = np.array(tab, dtype=np.int64)
+        except OverflowError:
+            raise InvalidParameterError(f"table entries must lie in [0,{v})") from None
+        negs, commutative, generators = _validate_table(arr, tab, v)
         self.order = v
         self.table = tab
         self.negs = negs
         self.commutative = commutative
         self.generators = generators
-        self.names = tuple(str(n) for n in names) if names is not None else None
 
     def add(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -80,25 +82,12 @@ class FiniteGroup:
         """All elements except the identity."""
         return range(1, self.order)
 
-    def element_order(self, x: int) -> int:
-        n, acc = 1, x
-        while acc != 0:
-            acc = self.table[acc][x]
-            n += 1
-        return n
-
-    def name_of(self, x: int) -> str:
-        return self.names[x] if self.names is not None else str(x)
-
     def __repr__(self) -> str:
         kind = "abelian" if self.commutative else "non-abelian"
         return f"FiniteGroup(order={self.order}, {kind})"
 
 
-def _validate_table(tab: tuple, v: int) -> tuple:
-    arr = np.asarray(tab, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape != (v, v):
-        raise InvalidParameterError(f"addition table must be {v}x{v}")
+def _validate_table(arr: np.ndarray, tab: tuple, v: int) -> tuple:
     if arr.min() < 0 or arr.max() >= v:
         x, y = map(int, np.argwhere((arr < 0) | (arr >= v))[0])
         raise InvalidParameterError(f"table entry at ({x},{y}) is outside [0,{v})")
@@ -163,14 +152,34 @@ def _greedy_generators(tab: tuple, v: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def check_order_cap(v: int, max_order: int = MAX_ORDER) -> None:
+    if v > max_order:
+        raise InvalidParameterError(f"group order {v} exceeds the cap {max_order}")
+
+
+def _cyclic_table(n: int) -> np.ndarray:
+    r = np.arange(n)
+    return np.add.outer(r, r) % n
+
+
+def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Cayley table of the direct product of the factor tables, with the
+    first factor least significant: (x_1, ..., x_m) has index
+    x_1 + v_1 (x_2 + v_2 (x_3 + ...)), v_i the order of factor i."""
+    out = np.zeros((1, 1), dtype=np.int64)
+    for t in tables:
+        v, o = len(out), len(t)
+        # Entry [d, a, e, b] is (a + v d) + (b + v e) = (a + b) + v (d + e).
+        out = (out[None, :, None, :] + v * t[:, None, :, None]).reshape(o * v, o * v)
+    return out
+
+
 def build_cyclic(n: int, *, max_order: int = MAX_ORDER) -> FiniteGroup:
     """The cyclic group Z_n with addition mod n."""
     if not isinstance(n, int) or n < 2:
         raise InvalidParameterError(f"cyclic group order must be an integer >= 2, got {n!r}")
-    if n > max_order:
-        raise InvalidParameterError(f"group order {n} exceeds the cap {max_order}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, max_order=max_order)
+    check_order_cap(n, max_order)
+    return FiniteGroup(_cyclic_table(n).tolist(), max_order=max_order)
 
 
 def digits_of(index: int, p: int, k: int) -> tuple[int, ...]:
@@ -193,8 +202,13 @@ def check_power_cap(p: int, k: int, max_order: int = MAX_ORDER) -> None:
     """Reject p^k > max_order when p >= 2 and k >= 1, without computing a huge p^k."""
     if p >= 2 and k >= max_order.bit_length():
         raise InvalidParameterError(f"group order {p}^{k} exceeds the cap {max_order}")
-    if p >= 2 and k >= 1 and p ** k > max_order:
-        raise InvalidParameterError(f"group order {p ** k} exceeds the cap {max_order}")
+    if p >= 2 and k >= 1:
+        check_order_cap(p ** k, max_order)
+
+
+def elementary_abelian_table(p: int, k: int) -> np.ndarray:
+    """The (Z_p)^k table, index = sum(digit_i * p^i): k copies of Z_p's."""
+    return _product_table([_cyclic_table(p)] * k)
 
 
 def build_elementary_abelian(p: int, k: int, *, max_order: int = MAX_ORDER) -> FiniteGroup:
@@ -204,48 +218,24 @@ def build_elementary_abelian(p: int, k: int, *, max_order: int = MAX_ORDER) -> F
         raise InvalidParameterError(f"{p} is not prime")
     if k < 1:
         raise InvalidParameterError(f"exponent must be positive, got {k}")
-    v = p ** k
-    digs = [digits_of(i, p, k) for i in range(v)]
-    table = [[index_of_digits([(a + b) % p for a, b in zip(dx, dy)], p) for dy in digs]
-             for dx in digs]
-    names = ["(" + ",".join(map(str, d)) + ")" for d in digs]
-    return FiniteGroup(table, names, max_order=max_order)
+    return FiniteGroup(elementary_abelian_table(p, k).tolist(), max_order=max_order)
 
 
 def build_direct_product(factors: Sequence[FiniteGroup], *, max_order: int = MAX_ORDER) -> FiniteGroup:
     """Componentwise product; the first factor is the least significant digit."""
     if not factors:
         raise InvalidParameterError("direct product needs at least one factor")
-    orders = [g.order for g in factors]
     v = 1
-    for o in orders:
-        v *= o
-    if v > max_order:
-        raise InvalidParameterError(f"group order {v} exceeds the cap {max_order}")
-
-    def decode(i: int) -> tuple[int, ...]:
-        out = []
-        for o in orders:
-            i, r = divmod(i, o)
-            out.append(r)
-        return tuple(out)
-
-    def encode(parts: Sequence[int]) -> int:
-        i = 0
-        for o, x in zip(reversed(orders), reversed(parts)):
-            i = i * o + x
-        return i
-
-    coords = [decode(i) for i in range(v)]
-    table = [[encode([g.add(a, b) for g, a, b in zip(factors, cx, cy)]) for cy in coords]
-             for cx in coords]
-    return FiniteGroup(table, max_order=max_order)
+    for g in factors:
+        v *= g.order
+    check_order_cap(v, max_order)
+    tables = [np.array(g.table) for g in factors]
+    return FiniteGroup(_product_table(tables).tolist(), max_order=max_order)
 
 
-def build_from_cayley(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None,
-                      *, max_order: int = MAX_ORDER) -> FiniteGroup:
+def build_from_cayley(table: Sequence[Sequence[int]], *, max_order: int = MAX_ORDER) -> FiniteGroup:
     """Validate an explicit Cayley table; rejects non-groups with a witness."""
-    return FiniteGroup(table, names, max_order=max_order)
+    return FiniteGroup(table, max_order=max_order)
 
 
 @dataclass(frozen=True)
@@ -263,7 +253,7 @@ class Subgroup:
 
     @classmethod
     def _trusted(cls, group: FiniteGroup, elements: tuple[int, ...]) -> "Subgroup":
-        # For sorted element sets that a closure has just built.
+        # For sorted element sets known to be subgroups: closures, stabilizers.
         obj = object.__new__(cls)
         object.__setattr__(obj, "group", group)
         object.__setattr__(obj, "elements", elements)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .endos import Endomorphism, field_mult_endo, make_endo, matrix_endo, scalar_endo
-from .errors import SpecFormatError
+from .errors import InvalidParameterError, SpecFormatError
 from .families import Design, LabeledFamily, SdfCertificate
 from .fields import FiniteField, additive_group, build_field
 from .groups import (
@@ -37,6 +37,7 @@ from .groups import (
     build_direct_product,
     build_elementary_abelian,
     build_from_cayley,
+    check_order_cap,
 )
 
 
@@ -91,8 +92,16 @@ def parse_group(doc: dict, where: str = "group spec") -> ParsedGroup:
         groups = [parse_group(f, f"{where}.factors[{i}]").group for i, f in enumerate(factors)]
         return ParsedGroup(build_direct_product(groups), None, dict(doc))
     if kind == "cayley":
+        table = _need(doc, "table", where)
+        if type(table) is list:
+            check_order_cap(len(table))
         table = _need_int(doc, "table", where, 2)
-        return ParsedGroup(build_from_cayley(table, doc.get("names")), None, dict(doc))
+        names = doc.get("names")
+        if names is not None and type(names) is not list:
+            raise SpecFormatError(where, "'names' must be a list")
+        if names is not None and len(names) != len(table):
+            raise InvalidParameterError("name table length must equal the group order")
+        return ParsedGroup(build_from_cayley(table), None, dict(doc))
     if kind == "field":
         modulus = None if doc.get("modulus") is None else _need_int(doc, "modulus", where, 1)
         field = build_field(_need_int(doc, "p", where), _need_int(doc, "n", where), modulus)
@@ -114,6 +123,13 @@ def parse_endo(doc: dict, parsed: ParsedGroup, where: str = "endo spec") -> Endo
             raise SpecFormatError(where, "'field_mult' needs a group spec of kind 'field'")
         return field_mult_endo(parsed.field, tuple(_need_int(doc, "element", where, 1)))
     raise SpecFormatError(where, f"unknown endo kind {kind!r}")
+
+
+def parse_field_elements(doc: Any, where: str = "elements") -> list[tuple[int, ...]]:
+    """A JSON list of integer coefficient vectors."""
+    if not _ints(doc, 2):
+        raise SpecFormatError(where, "expected a JSON list of integer coefficient vectors")
+    return [tuple(e) for e in doc]
 
 
 def parse_endo_list(doc: Any, parsed: ParsedGroup, where: str = "endo set") -> list[Endomorphism]:
@@ -192,9 +208,16 @@ def parse_design_text(text: str, where: str = "design file") -> tuple[int, list,
     return v, blocks, {"k": k, "lambda": lam, "b": b}
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(path, f"not UTF-8 text ({exc.reason})") from None
+
+
 def load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -203,8 +226,7 @@ def load_json(path: str) -> Any:
 
 def load_design_file(path: str) -> tuple[int, list, dict]:
     """Accept either the JSON or the text design format, sniffed by content."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)

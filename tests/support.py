@@ -12,7 +12,8 @@ from math import gcd
 
 import numpy as np
 
-from sdfam import FiniteGroup, LabeledFamily, build_from_cayley
+from sdfam import FiniteGroup, InvalidParameterError, LabeledFamily, build_from_cayley
+from sdfam.groups import digits_of, index_of_digits
 
 
 def naive_pair_counts(v: int, blocks) -> dict:
@@ -33,6 +34,21 @@ def naive_diff_counts(group: FiniteGroup, entries) -> dict:
                 if a != b:
                     counts[group.sub(a, b)] += 1
     return counts
+
+
+def element_order(group: FiniteGroup, x: int) -> int:
+    """The least n >= 1 with n x = 0."""
+    n, acc = 1, x
+    while acc != 0:
+        acc = group.add(acc, x)
+        n += 1
+    return n
+
+
+def difference_table(alpha, beta) -> tuple[int, ...]:
+    """Value table of the pointwise difference x -> alpha(x) - beta(x)."""
+    g = alpha.group
+    return tuple(g.sub(alpha.table[x], beta.table[x]) for x in g.elements())
 
 
 def naive_translates(group: FiniteGroup, block, g):
@@ -158,7 +174,7 @@ def quaternion_group() -> FiniteGroup:
         return z if sign == 1 else "-" + z
 
     table = [[names.index(mul(a, b)) for b in names] for a in names]
-    return build_from_cayley(table, names)
+    return build_from_cayley(table)
 
 
 def alternating_group_4() -> FiniteGroup:
@@ -438,3 +454,65 @@ def naive_non_automorphism(blocks, perms):
         if any(tuple(sorted(perm[x] for x in b)) not in blocks for b in blocks):
             return tuple(perm)
     return None
+
+
+# The comprehension table builders and the pair-by-pair canonical check that
+# the mixed-radix numpy tables replaced.
+
+def naive_cyclic_table(n: int) -> list:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def naive_elementary_abelian_table(p: int, k: int) -> list:
+    """(Z_p)^k, index = sum(digit_i * p^i), entry by entry."""
+    digs = [digits_of(i, p, k) for i in range(p ** k)]
+    return [[index_of_digits([(a + b) % p for a, b in zip(dx, dy)], p) for dy in digs]
+            for dx in digs]
+
+
+def naive_direct_product_table(factors) -> list:
+    """Componentwise product, the first factor the least significant digit."""
+    orders = [g.order for g in factors]
+
+    def decode(i):
+        out = []
+        for o in orders:
+            i, r = divmod(i, o)
+            out.append(r)
+        return out
+
+    def encode(parts):
+        i = 0
+        for o, x in zip(reversed(orders), reversed(parts)):
+            i = i * o + x
+        return i
+
+    v = 1
+    for o in orders:
+        v *= o
+    coords = [decode(i) for i in range(v)]
+    return [[encode([g.add(a, b) for g, a, b in zip(factors, cx, cy)]) for cy in coords]
+            for cx in coords]
+
+
+def naive_elementary_abelian_shape(group: FiniteGroup) -> tuple[int, int]:
+    """(p, k) if the group has the canonical (Z_p)^k table, else
+    InvalidParameterError, re-deriving the digits of every sum."""
+    v = group.order
+    p = 2
+    while v % p:
+        p += 1
+    k, m = 0, v
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise InvalidParameterError(f"group order {v} is not a prime power")
+    digs = [digits_of(i, p, k) for i in range(v)]
+    for x in range(v):
+        for y in range(v):
+            expected = index_of_digits([(a + b) % p for a, b in zip(digs[x], digs[y])], p)
+            if group.table[x][y] != expected:
+                raise InvalidParameterError(
+                    "group table does not match the canonical elementary abelian encoding")
+    return (p, k)

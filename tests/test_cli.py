@@ -270,3 +270,88 @@ def test_caps_are_checked_before_the_work_they_bound(tmp_path, name, text, argv,
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 1
     assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
+
+
+def _analyze_error(files, capsys, spec):
+    """analyze on a group spec: the exit code and stderr, which must hold no
+    traceback (main would raise, not return, on an uncaught exception)."""
+    _, write = files
+    group = write("group.json", spec)
+    autos = write("autos.json", [{"kind": "scalar", "c": 1}])
+    code = main(["analyze", "--group", group, "--autos", autos])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_ragged_cayley_table_exits_one(files, capsys):
+    code, err = _analyze_error(files, capsys, {"kind": "cayley", "table": [[0, 1], [1]]})
+    assert (code, err) == (1, "error: addition table must be 2x2\n")
+
+
+def test_cayley_entry_beyond_int64_exits_one(files, capsys):
+    code, err = _analyze_error(files, capsys, {"kind": "cayley", "table": [[0, 1], [1, 10 ** 30]]})
+    assert (code, err) == (1, "error: table entries must lie in [0,2)\n")
+
+
+def test_cayley_table_over_the_cap_reports_the_cap_before_the_format(files, capsys):
+    table = [[0] * 600 for _ in range(600)]
+    table[-1][-1] = "x"
+    code, err = _analyze_error(files, capsys, {"kind": "cayley", "table": table})
+    assert (code, err) == (1, "error: group order 600 exceeds the cap 512\n")
+
+
+@pytest.mark.parametrize("names, message", [
+    (5, "'names' must be a list"),
+    ("abc", "'names' must be a list"),
+    (["a", "b"], "name table length must equal the group order"),
+], ids=["int", "string", "wrong-length"])
+def test_malformed_cayley_names_exit_one(files, capsys, names, message):
+    spec = {"kind": "cayley", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": names}
+    code, err = _analyze_error(files, capsys, spec)
+    assert code == 1 and err.startswith("error: ") and err.rstrip().endswith(message)
+
+
+def test_cayley_names_of_the_right_length_are_accepted(files, capsys):
+    spec = {"kind": "cayley", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": ["e", "a", "b"]}
+    assert _analyze_error(files, capsys, spec) == (0, "")
+
+
+@pytest.mark.parametrize("elements", [
+    [1, 2],
+    [["a", 1], [1, 0]],
+    [[1.5, 0], [1, 0]],
+    [[True, 0], [1, 0]],
+    "5",
+], ids=["flat", "string-entry", "float-entry", "bool-entry", "not-a-list"])
+def test_malformed_nearfield_elements_exit_one(files, capsys, elements):
+    _, write = files
+    field = write("gf9.json", {"kind": "field", "p": 3, "n": 2, "modulus": [1, 0, 1]})
+    elems = write("t.json", elements)
+    code = main(["construct", "--method", "nearfield", "--field", field, "--elements", elems,
+                 "--format", "json"])
+    doc = json.loads(capsys.readouterr().err)
+    assert code == 1 and doc["error"] == "SpecFormatError"
+    assert "integer coefficient vectors" in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--group", "bad.json", "--autos", "autos.json"],
+    ["verify-sdf", "--family", "bad.json"],
+    ["verify-design", "--design", "bad.json"],
+], ids=["group", "family", "design"])
+def test_non_utf8_input_files_exit_one(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    (tmp_path / "autos.json").write_text(dump_json([{"kind": "scalar", "c": 1}]))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: bad.json: not UTF-8 text (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("field", [[1], {"kind": "cyclic", "n": 9}], ids=["list", "cyclic"])
+def test_nearfield_field_file_must_hold_a_field_spec(files, capsys, field):
+    _, write = files
+    code = main(["construct", "--method", "nearfield", "--field", write("f.json", field),
+                 "--elements", write("t.json", [[1, 0], [0, 1]])])
+    doc = json.loads(capsys.readouterr().err)
+    assert (code, doc["message"]) == (1, "--field must point to a spec of kind 'field'")

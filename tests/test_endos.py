@@ -16,7 +16,6 @@ from sdfam import (
     classification_check,
     closure,
     cyclic_generated,
-    difference_table,
     field_mult_endo,
     fpf_failure,
     halving_endo,
@@ -188,7 +187,7 @@ def test_pairwise_differences_of_fpf_set_are_bijective(z7, quaternion_endos):
                  list(quaternion_endos)):
         for i, a in enumerate(maps):
             for b in maps[i + 1:]:
-                diff = difference_table(a, b)
+                diff = support.difference_table(a, b)
                 assert len(set(diff)) == a.group.order
 
 

@@ -55,7 +55,7 @@ def test_elementary_abelian_needs_prime():
 def test_product_of_z2_z3_is_cyclic_of_order_6():
     g = build_direct_product([build_cyclic(2), build_cyclic(3)])
     assert g.order == 6
-    orders = sorted(g.element_order(x) for x in g.elements())
+    orders = sorted(support.element_order(g, x) for x in g.elements())
     assert 6 in orders  # an element of order 6 exhibits the Z_6 isomorphism
 
 
@@ -66,7 +66,7 @@ def test_unary_product_is_identity():
 
 def test_product_z2_z2_has_exponent_two():
     g = build_direct_product([build_cyclic(2), build_cyclic(2)])
-    assert all(g.element_order(x) == 2 for x in g.nonzero())
+    assert all(support.element_order(g, x) == 2 for x in g.nonzero())
 
 
 def test_product_rejects_empty_list():
@@ -105,6 +105,19 @@ def test_order_cap_enforced():
         build_cyclic(20, max_order=16)
 
 
+def test_ragged_table_is_rejected_by_shape():
+    with pytest.raises(InvalidParameterError, match="addition table must be 2x2"):
+        build_from_cayley([[0, 1], [1]])
+    with pytest.raises(InvalidParameterError, match="addition table must be 2x2"):
+        build_from_cayley([[0, 1, 2], [1, 0, 2]])
+
+
+def test_table_length_is_capped_before_any_entry_is_read():
+    row = ["not an integer"] * 600
+    with pytest.raises(InvalidParameterError, match="group order 600 exceeds the cap 512"):
+        build_from_cayley([row] * 600)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12])
 def test_axioms_hold_exhaustively(n):
     g = build_cyclic(n)
@@ -121,7 +134,7 @@ def test_nonabelian_fixture_tables_are_valid(s3, d4, q8_group):
     assert not d4.commutative and d4.order == 8
     assert not q8_group.commutative and q8_group.order == 8
     # quaternions: one element of order 2, six of order 4
-    orders = sorted(q8_group.element_order(x) for x in q8_group.nonzero())
+    orders = sorted(support.element_order(q8_group, x) for x in q8_group.nonzero())
     assert orders == [2, 4, 4, 4, 4, 4, 4]
 
 
