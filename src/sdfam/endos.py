@@ -172,9 +172,7 @@ def _elementary_abelian_shape(group: FiniteGroup) -> tuple[int, int]:
         k += 1
     if m != 1:
         raise InvalidParameterError(f"group order {v} is not a prime power")
-    canonical = elementary_abelian_table(p, k)
-    # Row by row, so that no second tuple table is built.
-    if any(row != tuple(want.tolist()) for row, want in zip(group.table, canonical)):
+    if not (group.array == elementary_abelian_table(p, k)).all():
         raise InvalidParameterError(
             "group table does not match the canonical elementary abelian encoding")
     return (p, k)

@@ -2,15 +2,15 @@
 
 Elements are dense indices ``0 .. order-1`` and index 0 is always the
 identity.  All group axioms are checked at construction time, exactly:
-identity and inverses element by element, and associativity by Light's test
-over a greedy generating set of at most log2(v) elements, O(v^2 log v) with
-numpy under a documented order cap.
+identity and inverses by whole-table array compares, O(v^2), and
+associativity by Light's test over a greedy generating set of at most
+log2(v) elements, O(v^2 log v) with numpy under a documented order cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +39,11 @@ class FiniteGroup:
     table must be associative (Light's test over ``generators``, which is
     as strict as checking every triple).
 
+    ``table`` is the tuple view of the table and ``array`` the same table as
+    a read-only (v, v) int64 array, for the array passes in ``families``.
+    The builders hand over their int64 arrays; other tables are read entry
+    by entry with int().
+
     ``generators`` is a greedy generating set: each member is the smallest
     element not reached from 0 by right additions of the members before it.
     Each one at least doubles the reached subgroup, so there are at most
@@ -52,15 +57,23 @@ class FiniteGroup:
         check_order_cap(v, max_order)
         if any(len(row) != v for row in table):
             raise InvalidParameterError(f"addition table must be {v}x{v}")
-        # int() returns an int entry itself, so the view shares the caller's ints.
-        tab = tuple(tuple(map(int, row)) for row in table)
-        try:
-            arr = np.array(tab, dtype=np.int64)
-        except OverflowError:
-            raise InvalidParameterError(f"table entries must lie in [0,{v})") from None
-        negs, commutative, generators = _validate_table(arr, tab, v)
+        if isinstance(table, np.ndarray) and table.dtype == np.int64 and table.ndim == 2:
+            # A builder's table: the group keeps a copy, and _validate_table
+            # makes the tuple view once the entries are known to be points.
+            arr = table.copy()
+            tab = None
+        else:
+            # int() returns an int entry itself, so the view shares the caller's ints.
+            tab = tuple(tuple(map(int, row)) for row in table)
+            try:
+                arr = np.array(tab, dtype=np.int64)
+            except OverflowError:
+                raise InvalidParameterError(f"table entries must lie in [0,{v})") from None
+        arr.flags.writeable = False
+        tab, negs, commutative, generators = _validate_table(arr, tab, v)
         self.order = v
         self.table = tab
+        self.array = arr
         self.negs = negs
         self.commutative = commutative
         self.generators = generators
@@ -87,10 +100,22 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, {kind})"
 
 
-def _validate_table(arr: np.ndarray, tab: tuple, v: int) -> tuple:
+def tuple_rows(arr: np.ndarray, v: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of an int array of points in [0, v) as tuples of Python ints.
+
+    One tolist() of the array taken through the v ints 0..v-1 as objects, so
+    every entry refers to one of those v ints instead of an int of its own
+    (a third of the memory of a plain tolist() at v = 509).
+    """
+    return tuple(zip(*np.arange(v).astype(object)[arr.T].tolist()))
+
+
+def _validate_table(arr: np.ndarray, tab: Optional[tuple], v: int) -> tuple:
     if arr.min() < 0 or arr.max() >= v:
         x, y = map(int, np.argwhere((arr < 0) | (arr >= v))[0])
         raise InvalidParameterError(f"table entry at ({x},{y}) is outside [0,{v})")
+    if tab is None:
+        tab = tuple_rows(arr, v)
 
     idx = np.arange(v)
     if not np.array_equal(arr[0], idx):
@@ -100,15 +125,16 @@ def _validate_table(arr: np.ndarray, tab: tuple, v: int) -> tuple:
         x = int(np.flatnonzero(arr[:, 0] != idx)[0])
         raise GroupAxiomError("identity", (x, 0), f"{x} + 0 = {int(arr[x, 0])}, expected {x}")
 
-    negs = []
-    for x in range(v):
-        zeros = np.flatnonzero(arr[x] == 0)
-        if len(zeros) == 0:
+    # The right inverse of x is the first zero of row x; it must be a left one too.
+    zero = arr == 0
+    negs = zero.argmax(axis=1)
+    bad = ~zero[idx, negs] | (arr[negs, idx] != 0)
+    if bad.any():
+        x = int(np.flatnonzero(bad)[0])
+        y = int(negs[x])
+        if arr[x, y] != 0:
             raise GroupAxiomError("inverse", (x,), f"element {x} has no right inverse")
-        y = int(zeros[0])
-        if arr[y, x] != 0:
-            raise GroupAxiomError("inverse", (x, y), f"{x} + {y} = 0 but {y} + {x} = {int(arr[y, x])}")
-        negs.append(y)
+        raise GroupAxiomError("inverse", (x, y), f"{x} + {y} = 0 but {y} + {x} = {int(arr[y, x])}")
 
     generators = _greedy_generators(tab, v)
     # Light's test: the a with (x+a)+y = x+(a+y) for all x, y are closed under
@@ -124,7 +150,7 @@ def _validate_table(arr: np.ndarray, tab: tuple, v: int) -> tuple:
                     "associativity", (x, y, z),
                     f"({x}+{y})+{z} = {int(lhs[y, z])} but {x}+({y}+{z}) = {int(rhs[y, z])}")
 
-    return tuple(negs), bool(np.array_equal(arr, arr.T)), generators
+    return tab, tuple(negs.tolist()), bool(np.array_equal(arr, arr.T)), generators
 
 
 def _greedy_generators(tab: tuple, v: int) -> tuple[int, ...]:
@@ -179,7 +205,7 @@ def build_cyclic(n: int, *, max_order: int = MAX_ORDER) -> FiniteGroup:
     if not isinstance(n, int) or n < 2:
         raise InvalidParameterError(f"cyclic group order must be an integer >= 2, got {n!r}")
     check_order_cap(n, max_order)
-    return FiniteGroup(_cyclic_table(n).tolist(), max_order=max_order)
+    return FiniteGroup(_cyclic_table(n), max_order=max_order)
 
 
 def digits_of(index: int, p: int, k: int) -> tuple[int, ...]:
@@ -218,7 +244,7 @@ def build_elementary_abelian(p: int, k: int, *, max_order: int = MAX_ORDER) -> F
         raise InvalidParameterError(f"{p} is not prime")
     if k < 1:
         raise InvalidParameterError(f"exponent must be positive, got {k}")
-    return FiniteGroup(elementary_abelian_table(p, k).tolist(), max_order=max_order)
+    return FiniteGroup(elementary_abelian_table(p, k), max_order=max_order)
 
 
 def build_direct_product(factors: Sequence[FiniteGroup], *, max_order: int = MAX_ORDER) -> FiniteGroup:
@@ -229,8 +255,7 @@ def build_direct_product(factors: Sequence[FiniteGroup], *, max_order: int = MAX
     for g in factors:
         v *= g.order
     check_order_cap(v, max_order)
-    tables = [np.array(g.table) for g in factors]
-    return FiniteGroup(_product_table(tables).tolist(), max_order=max_order)
+    return FiniteGroup(_product_table([g.array for g in factors]), max_order=max_order)
 
 
 def build_from_cayley(table: Sequence[Sequence[int]], *, max_order: int = MAX_ORDER) -> FiniteGroup:

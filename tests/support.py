@@ -36,6 +36,16 @@ def naive_diff_counts(group: FiniteGroup, entries) -> dict:
     return counts
 
 
+def naive_development(family) -> tuple:
+    """All translates of all blocks, one tuple at a time, deduplicated by a set."""
+    group = family.group
+    out = set()
+    for block in set(family.blocks()):
+        for g in group.elements():
+            out.add(naive_translates(group, block, g))
+    return tuple(sorted(out))
+
+
 def element_order(group: FiniteGroup, x: int) -> int:
     """The least n >= 1 with n x = 0."""
     n, acc = 1, x
@@ -407,6 +417,21 @@ def naive_associativity_witness(table):
         if not np.array_equal(lhs, rhs):
             y, z = map(int, np.argwhere(lhs != rhs)[0])
             return x, y, z
+    return None
+
+
+def naive_inverse_witness(table):
+    """(witness, message) of the first x, in order, whose first right
+    inverse y (the first zero of row x) is not a left inverse, or that has
+    none; None when every element has a two-sided inverse."""
+    arr = np.asarray(table)
+    for x in range(len(arr)):
+        zeros = np.flatnonzero(arr[x] == 0)
+        if len(zeros) == 0:
+            return (x,), f"element {x} has no right inverse"
+        y = int(zeros[0])
+        if arr[y, x] != 0:
+            return (x, y), f"{x} + {y} = 0 but {y} + {x} = {int(arr[y, x])}"
     return None
 
 
