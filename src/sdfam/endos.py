@@ -20,8 +20,8 @@ from .errors import (
     InvalidParameterError,
     TheoremViolationError,
 )
-from .fields import Element, FiniteField, additive_group
-from .groups import FiniteGroup, digits_of, elementary_abelian_table, index_of_digits
+from .fields import Element, FiniteField, additive_group, multiplication_map
+from .groups import FiniteGroup, elementary_abelian_table, linear_map_table
 
 
 def _hom_witness(group: FiniteGroup, table: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -184,20 +184,12 @@ def matrix_endo(group: FiniteGroup, rows: Sequence[Sequence[int]]) -> Endomorphi
     mat = [tuple(int(e) % p for e in row) for row in rows]
     if len(mat) != k or any(len(r) != k for r in mat):
         raise InvalidParameterError(f"matrix must be {k}x{k} for this group")
-    table = []
-    for x in group.elements():
-        d = digits_of(x, p, k)
-        out = [sum(mat[r][c] * d[c] for c in range(k)) % p for r in range(k)]
-        table.append(index_of_digits(out, p))
-    return Endomorphism(group, table)
+    return Endomorphism(group, linear_map_table(p, k, mat).tolist())
 
 
 def field_mult_endo(field: FiniteField, a: Element) -> Endomorphism:
     """Left multiplication by ``a`` on the additive group of the field."""
-    group = additive_group(field)
-    a = tuple(int(c) for c in a)
-    table = [field.element_index(field.mul(a, field.element_at(x))) for x in group.elements()]
-    return Endomorphism(group, table)
+    return Endomorphism(additive_group(field), multiplication_map(field, a))
 
 
 @dataclass(frozen=True)

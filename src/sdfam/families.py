@@ -416,13 +416,23 @@ def _bibd_scan(v: int, blocks: Sequence[Iterable[int]]) -> Design:
 
 
 def is_design_automorphism(perm: Sequence[int], design: Design) -> bool:
-    """True iff the point bijection maps the block set onto itself."""
+    """True iff the point bijection maps the block set onto itself.
+
+    The images of the (b, k) block array are one gather through the
+    permutation; with each row sorted and the rows lexsorted on their packed
+    keys, they must equal the design's blocks, which are sorted already.
+    O(b k log b) array work.
+    """
     perm = tuple(int(p) for p in perm)
     if len(perm) != design.v or len(set(perm)) != design.v \
             or any(p not in range(design.v) for p in perm):
         raise InvalidParameterError("permutation must be a bijection on the points")
-    blocks = set(design.blocks)
-    return all(tuple(sorted(perm[x] for x in block)) in blocks for block in blocks)
+    blocks = np.array(design.blocks)
+    if not blocks.size:  # no blocks, or only the empty one
+        return True
+    images = np.array(perm)[blocks]
+    images.sort(axis=1)
+    return np.array_equal(images[_lex_order(_packed(images, design.v))], blocks)
 
 
 def non_automorphism(design: Design, perms: Iterable[Sequence[int]],
@@ -439,7 +449,12 @@ def non_automorphism(design: Design, perms: Iterable[Sequence[int]],
 
 
 def is_doubly_transitive(perms: Sequence[Sequence[int]], v: int) -> bool:
-    """Breadth-first orbit of the ordered pair (0, 1); true iff it has size v*(v-1)."""
+    """Breadth-first orbit of the ordered pair (0, 1); true iff it has size v*(v-1).
+
+    Pairs are codes a*v + b in one v*v seen array; each level gathers every
+    generator's images of the frontier at once and keeps the unseen ones,
+    deduplicated.  O(v^2) memory, O(g v^2) array work over g permutations.
+    """
     if v < 2:
         raise InvalidParameterError("need at least 2 points for ordered pairs")
     gens = []
@@ -448,17 +463,18 @@ def is_doubly_transitive(perms: Sequence[Sequence[int]], v: int) -> bool:
         if len(p) != v or len(set(p)) != v or any(x not in range(v) for x in p):
             raise InvalidParameterError("permutation must be a bijection on the points")
         gens.append(p)
-    start = (0, 1)
-    seen = {start}
-    frontier = [start]
-    target = v * (v - 1)
-    while frontier and len(seen) < target:
-        nxt = []
-        for (a, b) in frontier:
-            for p in gens:
-                img = (p[a], p[b])
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return len(seen) == target
+    if not gens:
+        return False
+    # The ordered pair (a, b) is the code a*v + b; (0, 1) is 1.
+    images_of = np.array(gens)
+    seen = np.zeros(v * v, dtype=bool)
+    seen[1] = True
+    frontier = np.array([1])
+    reached, target = 1, v * (v - 1)
+    while len(frontier) and reached < target:
+        a, b = np.divmod(frontier, v)
+        images = (images_of[:, a] * v + images_of[:, b]).ravel()
+        frontier = np.unique(images[~seen[images]])
+        seen[frontier] = True
+        reached += len(frontier)
+    return reached == target

@@ -4,6 +4,17 @@ Field elements are coefficient tuples of length n, low degree first, over
 Z_p.  The index encoding ``sum(c_i * p^i)`` matches the digit encoding of
 ``build_elementary_abelian``, so additive-group indices and field elements
 translate back and forth without a conversion table.
+
+Products of single elements are polynomial products reduced by the modulus.
+Whole multiplication maps x -> a*x, which the endomorphisms and the unit
+subgroups need, are built as Z_p-linear maps instead
+(``multiplication_map``): the n products a*x^j give the map's n x n matrix,
+and one array product of that matrix with the digits of all q elements gives
+every image, n field products and O(q n^2) array work in place of q
+products.  Multiplicative orders and unit subgroups walk such a map from
+the index of 1.  No log/antilog tables are kept: x is not primitive under
+several default moduli (GF(9), GF(25), GF(49), GF(125), GF(256), GF(512)),
+so they would need a primitive-element search of their own.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidParameterError, IrreducibilityError
 from .groups import (FiniteGroup, build_elementary_abelian, check_power_cap, digits_of,
-                     index_of_digits, is_prime)
+                     index_of_digits, is_prime, linear_map_table)
 
 Element = tuple  # length-n coefficient tuple over Z_p
 
@@ -153,9 +164,10 @@ class FiniteField:
         a = self._check(a)
         if a == self.zero:
             raise InvalidParameterError("the zero element has no multiplicative order")
-        n, acc = 1, a
-        while acc != self.one:
-            acc = self.mul(acc, a)
+        step = multiplication_map(self, a)
+        n, i = 1, step[1]
+        while i != 1:
+            i = step[i]
             n += 1
         return n
 
@@ -181,6 +193,18 @@ def build_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Fini
     return FiniteField(p, n, mod)
 
 
+def multiplication_map(field: FiniteField, a: Element) -> tuple[int, ...]:
+    """The index of a*x for every x, in index order.
+
+    x -> a*x is Z_p-linear: column j of its matrix holds the coefficients of
+    a*x^j, the image of the basis element of index p^j, so n field products
+    and one groups.linear_map_table pass give every image.
+    """
+    a = field._check(a)
+    cols = [field.mul(a, field.element_at(field.p ** j)) for j in range(field.n)]
+    return tuple(linear_map_table(field.p, field.n, list(zip(*cols))).tolist())
+
+
 @lru_cache(maxsize=None)
 def additive_group(field: FiniteField) -> FiniteGroup:
     """The additive group of the field; index i corresponds to element_at(i)."""
@@ -203,12 +227,10 @@ def unit_subgroup_elements(field: FiniteField, d: int) -> tuple[Element, ...]:
     q1 = field.order - 1
     if d < 1 or q1 % d != 0:
         raise InvalidParameterError(f"{d} does not divide {q1}")
-    g = primitive_element(field)
-    step = field.pow(g, d)
-    elems = {field.one}
-    acc = step
-    while acc != field.one:
-        elems.add(acc)
-        acc = field.mul(acc, step)
+    step = multiplication_map(field, field.pow(primitive_element(field), d))
+    elems, i = [1], step[1]
+    while i != 1:
+        elems.append(i)
+        i = step[i]
     assert len(elems) == q1 // d
-    return tuple(sorted(elems, key=field.element_index))
+    return tuple(field.element_at(i) for i in sorted(elems))

@@ -237,6 +237,16 @@ def elementary_abelian_table(p: int, k: int) -> np.ndarray:
     return _product_table([_cyclic_table(p)] * k)
 
 
+def linear_map_table(p: int, k: int, rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """The index of M.x mod p for every x of (Z_p)^k, in index order, where
+    M is the k x k matrix ``rows`` with entries in [0, p): one product of
+    the (p^k, k) digit array of all x with M's transpose, then one with the
+    digit weights p^i."""
+    weights = p ** np.arange(k)
+    digits = np.arange(p ** k)[:, None] // weights % p
+    return digits @ np.array(rows, dtype=np.int64).T % p @ weights
+
+
 def build_elementary_abelian(p: int, k: int, *, max_order: int = MAX_ORDER) -> FiniteGroup:
     """(Z_p)^k with componentwise addition; index = sum(digit_i * p^i)."""
     check_power_cap(p, k, max_order)

@@ -481,6 +481,72 @@ def naive_non_automorphism(blocks, perms):
     return None
 
 
+# The per-element field products and matrix map, the block-set scan and the
+# tuple BFS that the Z_p-linear maps and the array checks replaced.
+
+def naive_field_mult_table(field, a) -> list:
+    """The index of a*x for every x, one polynomial product each."""
+    a = tuple(int(c) for c in a)
+    return [field.element_index(field.mul(a, field.element_at(x))) for x in range(field.order)]
+
+
+def naive_matrix_table(p: int, k: int, rows) -> list:
+    """The index of M.x mod p for every x of (Z_p)^k, digit vector by digit vector."""
+    out = []
+    for x in range(p ** k):
+        d = digits_of(x, p, k)
+        out.append(index_of_digits([sum(rows[r][c] * d[c] for c in range(k)) % p
+                                    for r in range(k)], p))
+    return out
+
+
+def naive_multiplicative_order(field, a) -> int:
+    """The least n with a^n = 1, one product per step."""
+    a = field._check(a)
+    if a == field.zero:
+        raise InvalidParameterError("the zero element has no multiplicative order")
+    n, acc = 1, a
+    while acc != field.one:
+        acc = field.mul(acc, a)
+        n += 1
+    return n
+
+
+def naive_is_design_automorphism(perm, design) -> bool:
+    """Whether the permutation maps every block into the block set."""
+    perm = tuple(int(p) for p in perm)
+    if len(perm) != design.v or len(set(perm)) != design.v \
+            or any(p not in range(design.v) for p in perm):
+        raise InvalidParameterError("permutation must be a bijection on the points")
+    blocks = set(design.blocks)
+    return all(tuple(sorted(perm[x] for x in block)) in blocks for block in blocks)
+
+
+def naive_is_doubly_transitive(perms, v: int) -> bool:
+    """Breadth-first orbit of (0, 1) over tuples of ordered pairs."""
+    if v < 2:
+        raise InvalidParameterError("need at least 2 points for ordered pairs")
+    gens = []
+    for perm in perms:
+        p = tuple(int(x) for x in perm)
+        if len(p) != v or len(set(p)) != v or any(x not in range(v) for x in p):
+            raise InvalidParameterError("permutation must be a bijection on the points")
+        gens.append(p)
+    seen = {(0, 1)}
+    frontier = [(0, 1)]
+    target = v * (v - 1)
+    while frontier and len(seen) < target:
+        nxt = []
+        for (a, b) in frontier:
+            for p in gens:
+                img = (p[a], p[b])
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return len(seen) == target
+
+
 # The comprehension table builders and the pair-by-pair canonical check that
 # the mixed-radix numpy tables replaced.
 
