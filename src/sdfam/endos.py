@@ -202,11 +202,6 @@ class MapCheck:
     is_bijective: bool
     witness: Optional[tuple[int, int]]  # homomorphism failure pair, if any
 
-    def endo(self) -> Endomorphism:
-        if not self.is_endomorphism:
-            raise HomomorphismError(self.witness)
-        return Endomorphism._trusted(self.group, self.table)
-
 
 def one_minus(alpha: Endomorphism) -> MapCheck:
     """The pointwise map x -> x - alpha(x), with validation flags.

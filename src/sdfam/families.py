@@ -10,7 +10,7 @@ agree on lambda, and the test suite checks that agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -219,34 +219,34 @@ def _strictly_increasing(keys: np.ndarray) -> bool:
     return bool(differ[at, col].all() and (keys[at, col] > prev[at, col]).all())
 
 
-def development(family: LabeledFamily) -> tuple[Block, ...]:
-    """All translates of all blocks, deduplicated and sorted.
+def development(family: LabeledFamily) -> np.ndarray:
+    """All translates of all blocks, deduplicated: a (b, k) int64 array with
+    each row sorted and the rows in lexicographic order.
 
-    The n distinct blocks of each size k are one (n, k) array; gathering it
-    from the group's table array gives all n*v translates at once, each
-    row is sorted, and a lexsort on the packed rows with an adjacent-row
-    compare drops the repeats, O(n k v log(n v)).  The gather allocates
-    n*k*v int64 entries at once, and the tuples come through
-    groups.tuple_rows, so they share v Python ints.  On Z_509 with
-    Ferrero's |Φ| = 4 family (127 distinct blocks, 64,643 developed),
-    development and then verify_bibd peak at 14,576,280 bytes under
-    tracemalloc, against 15,593,152 for the tuple-by-tuple loop and the
-    pair-by-pair scan.
+    The blocks must have one size k; a family of mixed sizes raises
+    InvalidParameterError, and one with no entries gives a (0, 0) array.
+    The n distinct blocks are one (n, k) array; gathering it from the
+    group's table array gives all n*v translates at once, each row is
+    sorted, and a lexsort on the packed rows with an adjacent-row compare
+    drops the repeats, O(n k v log(n v)).  The gather allocates n*k*v int64
+    entries at once.  On Z_509 with Ferrero's |Φ| = 4 family (127 distinct
+    blocks, 64,643 developed), development and then verify_bibd peak at
+    11,464,944 bytes under tracemalloc, against 15,593,152 for the
+    tuple-by-tuple loop and the pair-by-pair scan.
     """
     group = family.group
-    by_size: dict[int, list[Block]] = {}
-    for block in set(family.blocks()):
-        by_size.setdefault(len(block), []).append(block)
-    out: list[Block] = []
-    for k, blocks in by_size.items():
-        # Row (j, g) of the gather is the translate B_j + g.
-        rows = group.array[np.array(blocks)].transpose(0, 2, 1).reshape(-1, k)
-        rows.sort(axis=1)
-        keys = _packed(rows, group.order)
-        order = _lex_order(keys)
-        rows = rows[order[~_repeats(keys[order])]]
-        out.extend(tuple_rows(rows, group.order))
-    return tuple(sorted(out)) if len(by_size) > 1 else tuple(out)
+    blocks = list(set(family.blocks()))
+    sizes = sorted({len(b) for b in blocks})
+    if len(sizes) > 1:
+        raise InvalidParameterError(f"development needs blocks of one size, got sizes {sizes}")
+    if not blocks:
+        return np.empty((0, 0), dtype=np.int64)
+    # Row (j, g) of the gather is the translate B_j + g.
+    rows = group.array[np.array(blocks)].transpose(0, 2, 1).reshape(-1, sizes[0])
+    rows.sort(axis=1)
+    keys = _packed(rows, group.order)
+    order = _lex_order(keys)
+    return rows[order[~_repeats(keys[order])]]
 
 
 def verify_sdf(family: LabeledFamily) -> SdfCertificate:
@@ -314,12 +314,14 @@ def verify_bibd(v: int, blocks: Sequence[Iterable[int]]) -> Design:
     """Exhaustive balanced-incomplete-block-design check over all point pairs.
 
     v is held to the group-order cap, as the pair counts take v*v entries.
-    The blocks are read into one (b, k) int array, each row is sorted, and
-    the rows must then be points, repeat none, and be strictly increasing
-    (or, out of order, distinct after a lexsort); one bincount of a*v + b
-    over the pairs a < b of every row counts the coverage, which must equal
-    that of (0, 1) and be positive.  O(b k^2 + v^2) array work, b k log b
-    when the rows need the lexsort.  On a failure, or on blocks that are no
+    The blocks may be any 2-D int array-like, such as a development's
+    (b, k) array or a list of tuples; one np.array copy of them is sorted
+    row by row, so the caller's array is left as it was.  The rows must
+    then be points, repeat none, and be strictly increasing (or, out of
+    order, distinct after a lexsort); one bincount of a*v + b over the
+    pairs a < b of every row counts the coverage, which must equal that of
+    (0, 1) and be positive.  O(b k^2 + v^2) array work, b k log b when the
+    rows need the lexsort.  On a failure, or on blocks that are no
     rectangular int array, _bibd_scan checks block by block and pair by
     pair and raises InvalidParameterError or DesignCheckError with the
     first violating block or pair.
@@ -328,7 +330,7 @@ def verify_bibd(v: int, blocks: Sequence[Iterable[int]]) -> Design:
         raise InvalidParameterError(f"designs need at least 2 points, got {v}")
     if v > MAX_ORDER:
         raise InvalidParameterError(f"design order {v} exceeds the cap {MAX_ORDER}")
-    if not blocks:
+    if len(blocks) == 0:
         raise InvalidParameterError("design has no blocks")
     design = _bibd_by_array(v, blocks)
     return design if design is not None else _bibd_scan(v, blocks)
@@ -338,19 +340,14 @@ def _bibd_by_array(v: int, blocks: Sequence[Iterable[int]]) -> Optional[Design]:
     """The design, or None when the blocks fail a check or are not a
     rectangular array of ints."""
     try:
-        sizes = set(map(len, blocks))
-    except TypeError:
+        rows = np.array(blocks)
+    except ValueError:  # ragged blocks
         return None
-    if len(sizes) != 1 or 0 in sizes:
+    # Bools, floats, strings, sets, iterators and ints beyond int64 read as
+    # other kinds or shapes.
+    if rows.ndim != 2 or rows.dtype.kind != "i" or not rows.shape[1]:
         return None
-    try:
-        flat = np.array(tuple(chain.from_iterable(blocks)))
-    except ValueError:  # ragged entries within the blocks
-        return None
-    # Bools, floats, strings and ints beyond int64 read as other kinds.
-    if flat.ndim != 1 or flat.dtype.kind != "i":
-        return None
-    rows = flat.astype(np.int64, copy=False).reshape(len(blocks), -1)
+    rows = rows.astype(np.int64, copy=False)
     rows.sort(axis=1)
     if rows[:, 0].min() < 0 or rows[:, -1].max() >= v or (rows[:, 1:] == rows[:, :-1]).any():
         return None
@@ -415,6 +412,14 @@ def _bibd_scan(v: int, blocks: Sequence[Iterable[int]]) -> Design:
     return Design._trusted(v, k, lam, tuple(sorted(normalized)))
 
 
+def _permutation(perm: Sequence[int], v: int) -> tuple[int, ...]:
+    """perm as a tuple of ints, checked to be a bijection on the points 0..v-1."""
+    p = tuple(int(x) for x in perm)
+    if len(p) != v or len(set(p)) != v or any(x not in range(v) for x in p):
+        raise InvalidParameterError("permutation must be a bijection on the points")
+    return p
+
+
 def is_design_automorphism(perm: Sequence[int], design: Design) -> bool:
     """True iff the point bijection maps the block set onto itself.
 
@@ -423,10 +428,7 @@ def is_design_automorphism(perm: Sequence[int], design: Design) -> bool:
     keys, they must equal the design's blocks, which are sorted already.
     O(b k log b) array work.
     """
-    perm = tuple(int(p) for p in perm)
-    if len(perm) != design.v or len(set(perm)) != design.v \
-            or any(p not in range(design.v) for p in perm):
-        raise InvalidParameterError("permutation must be a bijection on the points")
+    perm = _permutation(perm, design.v)
     blocks = np.array(design.blocks)
     if not blocks.size:  # no blocks, or only the empty one
         return True
@@ -457,12 +459,7 @@ def is_doubly_transitive(perms: Sequence[Sequence[int]], v: int) -> bool:
     """
     if v < 2:
         raise InvalidParameterError("need at least 2 points for ordered pairs")
-    gens = []
-    for perm in perms:
-        p = tuple(int(x) for x in perm)
-        if len(p) != v or len(set(p)) != v or any(x not in range(v) for x in p):
-            raise InvalidParameterError("permutation must be a bijection on the points")
-        gens.append(p)
+    gens = [_permutation(perm, v) for perm in perms]
     if not gens:
         return False
     # The ordered pair (a, b) is the code a*v + b; (0, 1) is 1.

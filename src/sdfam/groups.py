@@ -50,11 +50,11 @@ class FiniteGroup:
     log2(order) of them.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], *, max_order: int = MAX_ORDER):
+    def __init__(self, table: Sequence[Sequence[int]]):
         v = len(table)
         if v < 2:
             raise InvalidParameterError(f"group order must be at least 2, got {v}")
-        check_order_cap(v, max_order)
+        check_order_cap(v)
         if any(len(row) != v for row in table):
             raise InvalidParameterError(f"addition table must be {v}x{v}")
         if isinstance(table, np.ndarray) and table.dtype == np.int64 and table.ndim == 2:
@@ -178,9 +178,9 @@ def _greedy_generators(tab: tuple, v: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def check_order_cap(v: int, max_order: int = MAX_ORDER) -> None:
-    if v > max_order:
-        raise InvalidParameterError(f"group order {v} exceeds the cap {max_order}")
+def check_order_cap(v: int) -> None:
+    if v > MAX_ORDER:
+        raise InvalidParameterError(f"group order {v} exceeds the cap {MAX_ORDER}")
 
 
 def _cyclic_table(n: int) -> np.ndarray:
@@ -200,12 +200,12 @@ def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def build_cyclic(n: int, *, max_order: int = MAX_ORDER) -> FiniteGroup:
+def build_cyclic(n: int) -> FiniteGroup:
     """The cyclic group Z_n with addition mod n."""
     if not isinstance(n, int) or n < 2:
         raise InvalidParameterError(f"cyclic group order must be an integer >= 2, got {n!r}")
-    check_order_cap(n, max_order)
-    return FiniteGroup(_cyclic_table(n), max_order=max_order)
+    check_order_cap(n)
+    return FiniteGroup(_cyclic_table(n))
 
 
 def digits_of(index: int, p: int, k: int) -> tuple[int, ...]:
@@ -224,12 +224,12 @@ def index_of_digits(digits: Sequence[int], p: int) -> int:
     return index
 
 
-def check_power_cap(p: int, k: int, max_order: int = MAX_ORDER) -> None:
-    """Reject p^k > max_order when p >= 2 and k >= 1, without computing a huge p^k."""
-    if p >= 2 and k >= max_order.bit_length():
-        raise InvalidParameterError(f"group order {p}^{k} exceeds the cap {max_order}")
+def check_power_cap(p: int, k: int) -> None:
+    """Reject p^k > MAX_ORDER when p >= 2 and k >= 1, without computing a huge p^k."""
+    if p >= 2 and k >= MAX_ORDER.bit_length():
+        raise InvalidParameterError(f"group order {p}^{k} exceeds the cap {MAX_ORDER}")
     if p >= 2 and k >= 1:
-        check_order_cap(p ** k, max_order)
+        check_order_cap(p ** k)
 
 
 def elementary_abelian_table(p: int, k: int) -> np.ndarray:
@@ -247,30 +247,30 @@ def linear_map_table(p: int, k: int, rows: Sequence[Sequence[int]]) -> np.ndarra
     return digits @ np.array(rows, dtype=np.int64).T % p @ weights
 
 
-def build_elementary_abelian(p: int, k: int, *, max_order: int = MAX_ORDER) -> FiniteGroup:
+def build_elementary_abelian(p: int, k: int) -> FiniteGroup:
     """(Z_p)^k with componentwise addition; index = sum(digit_i * p^i)."""
-    check_power_cap(p, k, max_order)
+    check_power_cap(p, k)
     if not is_prime(p):
         raise InvalidParameterError(f"{p} is not prime")
     if k < 1:
         raise InvalidParameterError(f"exponent must be positive, got {k}")
-    return FiniteGroup(elementary_abelian_table(p, k), max_order=max_order)
+    return FiniteGroup(elementary_abelian_table(p, k))
 
 
-def build_direct_product(factors: Sequence[FiniteGroup], *, max_order: int = MAX_ORDER) -> FiniteGroup:
+def build_direct_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     """Componentwise product; the first factor is the least significant digit."""
     if not factors:
         raise InvalidParameterError("direct product needs at least one factor")
     v = 1
     for g in factors:
         v *= g.order
-    check_order_cap(v, max_order)
-    return FiniteGroup(_product_table([g.array for g in factors]), max_order=max_order)
+    check_order_cap(v)
+    return FiniteGroup(_product_table([g.array for g in factors]))
 
 
-def build_from_cayley(table: Sequence[Sequence[int]], *, max_order: int = MAX_ORDER) -> FiniteGroup:
+def build_from_cayley(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate an explicit Cayley table; rejects non-groups with a witness."""
-    return FiniteGroup(table, max_order=max_order)
+    return FiniteGroup(table)
 
 
 @dataclass(frozen=True)

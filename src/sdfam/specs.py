@@ -147,7 +147,7 @@ def parse_family(doc: dict, where: str = "family file") -> tuple[LabeledFamily, 
     for i, item in enumerate(raw_entries):
         label = _need(item, "label", f"{where}.entries[{i}]")
         block = _need_int(item, "block", f"{where}.entries[{i}]", 1)
-        if not isinstance(label, (int, str)):
+        if type(label) not in (int, str):
             raise SpecFormatError(f"{where}.entries[{i}]", "labels must be integers or strings")
         entries.append((label, tuple(block)))
     return LabeledFamily(parsed.group, tuple(entries)), parsed.spec

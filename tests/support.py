@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from sdfam import FiniteGroup, InvalidParameterError, LabeledFamily, build_from_cayley
+from sdfam import FiniteGroup, InvalidParameterError, LabeledFamily, build_from_cayley, development
 from sdfam.groups import digits_of, index_of_digits
 
 
@@ -44,6 +44,11 @@ def naive_development(family) -> tuple:
         for g in group.elements():
             out.add(naive_translates(group, block, g))
     return tuple(sorted(out))
+
+
+def development_tuples(family) -> tuple:
+    """development's rows as tuples of ints, for set and list comparisons."""
+    return tuple(map(tuple, development(family).tolist()))
 
 
 def element_order(group: FiniteGroup, x: int) -> int:

@@ -122,6 +122,19 @@ def test_verify_sdf_pass_and_parse_error(files, capsys):
     assert main(["verify-sdf", "--family", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("labels", [[True], [True, 1]], ids=["true", "true-beside-one"])
+def test_boolean_family_labels_exit_one(files, capsys, labels):
+    tmp, write = files
+    blocks = [[0, 1, 3], [0, 2, 3]]
+    family = write("fam.json", {
+        "group": {"kind": "cyclic", "n": 7},
+        "entries": [{"label": label, "block": block} for label, block in zip(labels, blocks)],
+    })
+    assert main(["verify-sdf", "--family", family]) == 1
+    err = capsys.readouterr().err
+    assert "labels must be integers or strings" in err and "Traceback" not in err
+
+
 def test_verify_sdf_failure_exit_code(files, capsys):
     tmp, write = files
     family = write("fam.json", {

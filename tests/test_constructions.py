@@ -70,7 +70,7 @@ def test_orbit_family_scalar_lines(ea9):
 def test_orbit_family_zero_one_pairs(z7):
     build = orbit_family(z7, scalar_set(z7, (1,), with_zero=True))
     assert cert_tuple(build.certificate) == (7, 2, 1, 2, 2, 1)
-    dev = development(build.family)
+    dev = support.development_tuples(build.family)
     assert set(dev) == {tuple(sorted(p)) for p in itertools.combinations(range(7), 2)}
 
 
@@ -270,7 +270,7 @@ def test_segments_rejects_z5_order_four_closure(z5):
     assert err.value.witness == {"order": 4}
     build = orbit_family(z5, maps)
     assert cert_tuple(build.certificate) == (5, 3, 1, 2, 6, 3)
-    dev = development(build.family)
+    dev = support.development_tuples(build.family)
     assert set(dev) == {tuple(sorted(t)) for t in itertools.combinations(range(5), 3)}
 
 

@@ -95,14 +95,39 @@ def long_block_families(seed: int, count: int):
     return out
 
 
+def one_size(family) -> bool:
+    return len(set(map(len, family.blocks()))) == 1
+
+
 def test_development_matches_the_tuple_loop(engine_groups):
     families = random_families(engine_groups, 8, 500) + long_block_families(8, 20)
     families += [f for g in engine_groups for f in edge_families(g)]
+    mixed = 0
     for family in families:
-        got = development(family)
+        if not one_size(family):
+            with pytest.raises(InvalidParameterError, match="blocks of one size"):
+                development(family)
+            mixed += 1
+            continue
+        got = support.development_tuples(family)
         assert got == support.naive_development(family)
         assert_int_tuples(got)
-    assert max(len(set(map(len, f.blocks()))) for f in families) > 1
+    assert mixed > 0
+
+
+def test_development_is_one_c_contiguous_int64_array(engine_groups):
+    families = random_families(engine_groups, 12, 200) + long_block_families(12, 5)
+    families += [f for g in engine_groups for f in edge_families(g)]
+    for family in filter(one_size, families):
+        got = development(family)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == (len(support.naive_development(family)), len(family.entries[0].block))
+        rows = got.tolist()
+        assert rows == sorted(rows) and all(r == sorted(r) for r in rows)
+    empty = development(LabeledFamily(engine_groups[0], ()))
+    assert empty.shape == (0, 0) and empty.dtype == np.int64
+    with pytest.raises(InvalidParameterError, match="design has no blocks"):
+        verify_bibd(engine_groups[0].order, empty)
 
 
 def naive_count_outcome(family):
@@ -191,7 +216,8 @@ def test_verify_bibd_matches_the_scan_on_perturbed_developments(engine_groups):
     rng = random.Random(10)
     families = random_families(engine_groups, 10, 150) + long_block_families(10, 2)
     families += [f for g in engine_groups for f in edge_families(g)]
-    designs = [(f.group.order, list(development(f))) for f in families]
+    designs = [(f.group.order, list(support.development_tuples(f)))
+               for f in filter(one_size, families)]
     designs += [(v, all_subsets_design(v, k))
                 for v, k in ((2, 1), (3, 2), (6, 2), (7, 3), (5, 5), (20, 19))]
     seen = set()
@@ -201,6 +227,44 @@ def test_verify_bibd_matches_the_scan_on_perturbed_developments(engine_groups):
                 seen.add(assert_bibd_as_the_scan(v, perturbed))
     assert seen == {"pass", "repeated-block", "block-size", "pair-coverage",
                     "InvalidParameterError"}
+
+
+def array_forms(blocks: list):
+    """The blocks as an int64 array, an int32 array, a non-contiguous slice
+    and a read-only array; none for ragged blocks."""
+    try:
+        arr = np.array(blocks, dtype=np.int64)
+    except ValueError:
+        return
+    if arr.ndim != 2:
+        return
+    yield arr
+    yield arr.astype(np.int32)
+    yield np.repeat(arr, 2, axis=0)[::2]
+    frozen = arr.copy()
+    frozen.flags.writeable = False
+    yield frozen
+
+
+def test_verify_bibd_reads_int_arrays_as_their_lists(engine_groups):
+    rng = random.Random(13)
+    families = random_families(engine_groups, 13, 60) + long_block_families(13, 2)
+    families += [f for g in engine_groups for f in edge_families(g)]
+    designs = [(f.group.order, list(support.development_tuples(f)))
+               for f in filter(one_size, families)]
+    designs.append((7, all_subsets_design(7, 3)))
+    forms = 0
+    for v, blocks in designs:
+        for perturbed in perturbations(rng, v, blocks):
+            if not perturbed:
+                continue
+            expected = outcome(_bibd_scan, v, perturbed)
+            for arr in array_forms(perturbed):
+                before = arr.copy()
+                assert outcome(verify_bibd, v, arr) == expected
+                assert np.array_equal(arr, before) and arr.dtype == before.dtype
+                forms += 1
+    assert forms > 1000
 
 
 @pytest.mark.parametrize("v, k", [(4, 2), (6, 2), (7, 3), (7, 2)])
@@ -263,7 +327,7 @@ def test_one_shot_iterator_blocks_are_read_once():
 def test_development_and_design_blocks_serialize(z13):
     phi = closure([scalar_endo(z13, 3)])
     family = LabeledFamily(z13, tuple((x, orbit(phi, x)) for x in z13.nonzero()))
-    blocks = development(family)
+    blocks = support.development_tuples(family)
     assert_int_tuples(blocks)
     design = verify_bibd(13, blocks)
     assert_int_tuples(design.blocks)

@@ -107,7 +107,7 @@ def test_single_entry_family_is_one_class(z7):
 def test_development_of_pair_block():
     z3 = build_cyclic(3)
     family = LabeledFamily(z3, ((0, (0, 1)),))
-    assert set(development(family)) == {(0, 1), (1, 2), (0, 2)}
+    assert set(support.development_tuples(family)) == {(0, 1), (1, 2), (0, 2)}
 
 
 def test_development_counts(z7, ferrero_family):
@@ -186,7 +186,7 @@ def test_verify_bibd_detects_repeated_block():
 def test_verify_bibd_design_equals_a_checked_design(ferrero_family):
     # verify_bibd takes the trusted constructor; the checking one, given the
     # same blocks unsorted, builds an equal Design.
-    blocks = development(ferrero_family)
+    blocks = support.development_tuples(ferrero_family)
     design = verify_bibd(7, list(reversed(blocks)))
     assert design.blocks == tuple(sorted(blocks))
     shuffled = tuple(tuple(reversed(b)) for b in reversed(blocks))

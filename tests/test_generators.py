@@ -373,7 +373,7 @@ def test_translation_automorphism_failure_matches_the_full_scan():
         for _ in range(6):
             cosets = rng.randint(1, max(1, group.order // len(sub) - 1))
             base = coset_block(rng, group, sub, cosets)
-            blocks = list(development(LabeledFamily(group, ((0, base),))))
+            blocks = list(support.development_tuples(LabeledFamily(group, ((0, base),))))
             designs = [blocks]
             replacement = coset_block(rng, group, sub, cosets)
             if replacement not in blocks:

@@ -16,6 +16,7 @@ from sdfam import (
     is_subgroup,
     subgroup_generated,
 )
+from sdfam.groups import MAX_ORDER
 
 import support
 
@@ -101,8 +102,8 @@ def test_cayley_rejects_non_associative_table():
 
 
 def test_order_cap_enforced():
-    with pytest.raises(InvalidParameterError):
-        build_cyclic(20, max_order=16)
+    with pytest.raises(InvalidParameterError, match="group order 513 exceeds the cap 512"):
+        build_cyclic(MAX_ORDER + 1)
 
 
 def test_ragged_table_is_rejected_by_shape():
