@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -93,7 +94,11 @@ class SdfCertificate:
 
 @dataclass(frozen=True)
 class Design:
-    """Points 0..v-1 plus a duplicate-free block set with verified (v,k,lam)."""
+    """Points 0..v-1 plus a duplicate-free block set with verified (v,k,lam).
+
+    The constructor makes every entry an int (operator.index), so blocks
+    given as numpy rows serialise like any others.
+    """
 
     v: int
     k: int
@@ -101,7 +106,7 @@ class Design:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
-        blocks = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        blocks = tuple(sorted(tuple(sorted(map(index, b))) for b in self.blocks))
         if len(set(blocks)) != len(blocks):
             raise InvalidParameterError("designs cannot repeat blocks")
         if any(len(b) != self.k for b in blocks):

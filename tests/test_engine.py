@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from sdfam import (
+    Design,
     DesignCheckError,
     FiniteGroup,
     GroupAxiomError,
@@ -33,7 +34,7 @@ from sdfam import (
     verify_sdf,
 )
 from sdfam.families import _bibd_scan
-from sdfam.specs import design_to_doc
+from sdfam.specs import design_to_doc, dump_json
 
 import support
 
@@ -97,6 +98,14 @@ def long_block_families(seed: int, count: int):
 
 def one_size(family) -> bool:
     return len(set(map(len, family.blocks()))) == 1
+
+
+def developed_tuples(family) -> tuple:
+    """The development as tuples; a mixed-size family, which development
+    refuses, through the naive loop."""
+    if one_size(family):
+        return support.development_tuples(family)
+    return support.naive_development(family)
 
 
 def test_development_matches_the_tuple_loop(engine_groups):
@@ -216,8 +225,7 @@ def test_verify_bibd_matches_the_scan_on_perturbed_developments(engine_groups):
     rng = random.Random(10)
     families = random_families(engine_groups, 10, 150) + long_block_families(10, 2)
     families += [f for g in engine_groups for f in edge_families(g)]
-    designs = [(f.group.order, list(support.development_tuples(f)))
-               for f in filter(one_size, families)]
+    designs = [(f.group.order, list(developed_tuples(f))) for f in families]
     designs += [(v, all_subsets_design(v, k))
                 for v, k in ((2, 1), (3, 2), (6, 2), (7, 3), (5, 5), (20, 19))]
     seen = set()
@@ -333,6 +341,18 @@ def test_development_and_design_blocks_serialize(z13):
     assert_int_tuples(design.blocks)
     doc = json.loads(json.dumps(design_to_doc(design)))
     assert doc["blocks"] == [list(b) for b in blocks] and doc["lambda"] == 2
+
+
+def test_design_of_a_development_serializes(z7):
+    # Design normalises the development's int64 entries to ints.
+    family = LabeledFamily(z7, ((0, (0, 1, 3)),))
+    design = Design(7, 3, 1, development(family))
+    assert_int_tuples(design.blocks)
+    doc = json.loads(dump_json(design_to_doc(design)))
+    assert doc["blocks"] == [list(b) for b in support.naive_development(family)]
+    assert Design(7, 3, 1, (tuple(b) for b in doc["blocks"])) == design
+    with pytest.raises(TypeError):
+        Design(7, 3, 1, development(family).astype(float))
 
 
 def traced_peak(fn) -> tuple:
