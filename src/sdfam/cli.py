@@ -212,16 +212,16 @@ def run_verify_sdf(args) -> int:
 def run_verify_design(args) -> int:
     v, blocks, declared = load_design_file(args.design)
     design = verify_bibd(v, blocks)
-    for key, actual in (("k", design.k), ("lambda", design.lam), ("b", len(design.blocks))):
+    for key, actual in (("k", design.k), ("lambda", design.lam), ("b", len(design.rows))):
         if key in declared and declared[key] != actual:
             raise InvalidParameterError(
                 f"file declares {key}={declared[key]} but the blocks give {key}={actual}")
     if args.format == "json":
         _write(dump_json({"v": design.v, "k": design.k, "lambda": design.lam,
-                          "b": len(design.blocks)}), args.output)
+                          "b": len(design.rows)}), args.output)
     else:
         _write(f"design v={design.v} k={design.k} lambda={design.lam} "
-               f"b={len(design.blocks)}\n", args.output)
+               f"b={len(design.rows)}\n", args.output)
     return 0
 
 

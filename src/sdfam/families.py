@@ -92,35 +92,54 @@ class SdfCertificate:
         return (self.v, self.k, self.lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Design:
     """Points 0..v-1 plus a duplicate-free block set with verified (v,k,lam).
 
-    The constructor makes every entry an int (operator.index), so blocks
-    given as numpy rows serialise like any others.
+    The blocks are one read-only (b, k) int64 array, ``rows``, each row
+    sorted and the rows in lexicographic order, made from a 2-D int array
+    whole or from other blocks through operator.index (floats and strings
+    raise TypeError); points outside [0, v), other sizes than k and repeats
+    raise InvalidParameterError.  development and then verify_bibd on Z_509
+    with |Φ| = 4 peak at 10,618,225 bytes under tracemalloc.
     """
 
     v: int
     k: int
     lam: int
-    blocks: tuple[Block, ...]
+    rows: np.ndarray
 
-    def __post_init__(self):
-        blocks = tuple(sorted(tuple(sorted(map(index, b))) for b in self.blocks))
-        if len(set(blocks)) != len(blocks):
+    def __init__(self, v: int, k: int, lam: int, blocks: Iterable[Iterable[int]]):
+        if not (isinstance(blocks, np.ndarray) and blocks.ndim == 2 and blocks.dtype.kind in "iu"):
+            blocks = [tuple(map(index, b)) for b in blocks]
+        try:
+            rows = np.array(blocks, dtype=np.int64).reshape(len(blocks), k)
+        except ValueError:  # ragged rows, or rows of another size
+            raise InvalidParameterError(f"designs need uniform block size {k}") from None
+        except OverflowError:  # an entry beyond int64
+            rows = None
+        if rows is None or (rows.size and (rows.min() < 0 or rows.max() >= v)):
+            raise InvalidParameterError(f"design points must lie in [0,{v})")
+        rows, repeated = _lex_rows(rows, v)
+        if repeated:
             raise InvalidParameterError("designs cannot repeat blocks")
-        if any(len(b) != self.k for b in blocks):
-            raise InvalidParameterError(f"designs need uniform block size {self.k}")
-        object.__setattr__(self, "blocks", blocks)
+        rows.flags.writeable = False
+        for name, value in (("v", v), ("k", k), ("lam", lam), ("rows", rows)):
+            object.__setattr__(self, name, value)
 
-    @classmethod
-    def _trusted(cls, v: int, k: int, lam: int, blocks: tuple[Block, ...]) -> "Design":
-        # For distinct sorted blocks of size k, in sorted order, that
-        # verify_bibd has checked.
-        obj = object.__new__(cls)
-        for name, value in (("v", v), ("k", k), ("lam", lam), ("blocks", blocks)):
-            object.__setattr__(obj, name, value)
-        return obj
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        """The rows as int tuples, made anew on each access."""
+        return tuple_rows(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Design):
+            return NotImplemented
+        return (self.v, self.k, self.lam) == (other.v, other.k, other.lam) \
+            and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.v, self.k, self.lam, self.rows.tobytes()))
 
 
 def translate(group: FiniteGroup, block: Block, g: int) -> Block:
@@ -191,9 +210,10 @@ def _packed(rows: np.ndarray, v: int) -> np.ndarray:
     packed rows compare lexicographically as the rows do, in fewer columns."""
     k = rows.shape[1]
     m = 1
-    while v ** (m + 1) < 2 ** 63:
+    while m < k and v ** (m + 1) < 2 ** 63:
         m += 1
-    out = np.empty((len(rows), -(-k // m)), dtype=np.int64)
+    # Rows of no points pack to one column of zeros.
+    out = np.zeros((len(rows), -(-k // m) or 1), dtype=np.int64)
     for c, start in enumerate(range(0, k, m)):
         acc = rows[:, start].copy()
         for col in range(start + 1, min(start + m, k)):
@@ -203,25 +223,29 @@ def _packed(rows: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-def _lex_order(keys: np.ndarray) -> np.ndarray:
-    """The permutation that puts the rows of a 2-d array in lexicographic order."""
-    return np.lexsort(keys.T[::-1])
-
-
-def _repeats(keys: np.ndarray) -> np.ndarray:
-    """For rows in lexicographic order: which rows equal the row before."""
-    out = np.zeros(len(keys), dtype=bool)
-    out[1:] = (keys[1:] == keys[:-1]).all(axis=1)
-    return out
-
-
 def _strictly_increasing(keys: np.ndarray) -> bool:
     """Whether each row is lexicographically greater than the one before."""
     prev, keys = keys[:-1], keys[1:]
-    differ = prev != keys
-    col = differ.argmax(axis=1)
-    at = np.arange(len(col))
-    return bool(differ[at, col].all() and (keys[at, col] > prev[at, col]).all())
+    greater = keys[:, -1] > prev[:, -1]
+    for c in range(keys.shape[1] - 2, -1, -1):
+        greater = (keys[:, c] > prev[:, c]) | ((keys[:, c] == prev[:, c]) & greater)
+    return bool(greater.all())
+
+
+def _lex_rows(rows: np.ndarray, v: int) -> tuple[np.ndarray, bool]:
+    """A (b, k) int64 array of points in [0, v), each row sorted in place,
+    in lexicographic row order with repeated rows dropped, and whether any
+    were.  The lexsort, of the packed rows, is spared for rows that are
+    strictly increasing already."""
+    rows.sort(axis=1)
+    keys = _packed(rows, v)
+    if _strictly_increasing(keys):
+        return rows, False
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return rows[order[first]], not first.all()
 
 
 def development(family: LabeledFamily) -> np.ndarray:
@@ -230,14 +254,13 @@ def development(family: LabeledFamily) -> np.ndarray:
 
     The blocks must have one size k; a family of mixed sizes raises
     InvalidParameterError, and one with no entries gives a (0, 0) array.
-    The n distinct blocks are one (n, k) array; gathering it from the
-    group's table array gives all n*v translates at once, each row is
-    sorted, and a lexsort on the packed rows with an adjacent-row compare
-    drops the repeats, O(n k v log(n v)).  The gather allocates n*k*v int64
-    entries at once.  On Z_509 with Ferrero's |Φ| = 4 family (127 distinct
-    blocks, 64,643 developed), development and then verify_bibd peak at
-    11,464,944 bytes under tracemalloc, against 15,593,152 for the
-    tuple-by-tuple loop and the pair-by-pair scan.
+    Gathering the n distinct blocks from the group's table array gives all
+    n*v translates at once (n*k*v int64 entries); _lex_rows puts them in
+    order and the repeats are dropped, O(n k v log(n v)).  On Z_509 with
+    Ferrero's |Φ| = 4 family (127 distinct blocks, 64,643 developed),
+    development and then verify_bibd peak at 10,618,225 bytes under
+    tracemalloc, against 15,593,152 for the tuple-by-tuple loop and the
+    pair-by-pair scan.
     """
     group = family.group
     blocks = list(set(family.blocks()))
@@ -247,11 +270,8 @@ def development(family: LabeledFamily) -> np.ndarray:
     if not blocks:
         return np.empty((0, 0), dtype=np.int64)
     # Row (j, g) of the gather is the translate B_j + g.
-    rows = group.array[np.array(blocks)].transpose(0, 2, 1).reshape(-1, sizes[0])
-    rows.sort(axis=1)
-    keys = _packed(rows, group.order)
-    order = _lex_order(keys)
-    return rows[order[~_repeats(keys[order])]]
+    translates = group.array[np.array(blocks)].transpose(0, 2, 1).reshape(-1, sizes[0])
+    return _lex_rows(translates, group.order)[0]
 
 
 def verify_sdf(family: LabeledFamily) -> SdfCertificate:
@@ -320,16 +340,14 @@ def verify_bibd(v: int, blocks: Sequence[Iterable[int]]) -> Design:
 
     v is held to the group-order cap, as the pair counts take v*v entries.
     The blocks may be any 2-D int array-like, such as a development's
-    (b, k) array or a list of tuples; one np.array copy of them is sorted
-    row by row, so the caller's array is left as it was.  The rows must
-    then be points, repeat none, and be strictly increasing (or, out of
-    order, distinct after a lexsort); one bincount of a*v + b over the
-    pairs a < b of every row counts the coverage, which must equal that of
-    (0, 1) and be positive.  O(b k^2 + v^2) array work, b k log b when the
-    rows need the lexsort.  On a failure, or on blocks that are no
-    rectangular int array, _bibd_scan checks block by block and pair by
-    pair and raises InvalidParameterError or DesignCheckError with the
-    first violating block or pair.
+    (b, k) array or a list of tuples.  A copy of them, in order by
+    _lex_rows, must hold points and repeat no point or row; one bincount of
+    a*v + b over the pairs a < b of every row counts the coverage, which
+    must equal that of (0, 1) and be positive.  O(b k^2 + v^2) array work,
+    b k log b when the rows need the lexsort.  On a failure, or on blocks
+    that are no rectangular int array, _bibd_scan checks block by block and
+    pair by pair and raises InvalidParameterError or DesignCheckError with
+    the first violating block or pair.
     """
     if v < 2:
         raise InvalidParameterError(f"designs need at least 2 points, got {v}")
@@ -353,24 +371,18 @@ def _bibd_by_array(v: int, blocks: Sequence[Iterable[int]]) -> Optional[Design]:
     if rows.ndim != 2 or rows.dtype.kind != "i" or not rows.shape[1]:
         return None
     rows = rows.astype(np.int64, copy=False)
-    rows.sort(axis=1)
-    if rows[:, 0].min() < 0 or rows[:, -1].max() >= v or (rows[:, 1:] == rows[:, :-1]).any():
+    if rows.min() < 0 or rows.max() >= v:
         return None
-    keys = _packed(rows, v)
-    if not _strictly_increasing(keys):
-        order = _lex_order(keys)
-        if _repeats(keys[order]).any():
-            return None
-        rows = rows[order]
-    k = rows.shape[1]
-    a, b = np.triu_indices(k, 1)
+    rows, repeated = _lex_rows(rows, v)
+    if repeated or (rows[:, 1:] == rows[:, :-1]).any():
+        return None
+    a, b = np.triu_indices(rows.shape[1], 1)
     counts = np.bincount((rows[:, a] * v + rows[:, b]).ravel(), minlength=v * v).reshape(v, v)
     lam = int(counts[0, 1])
     if lam == 0 or np.triu(counts - lam, 1).any():
         return None
-    # Free the v*v counts and the keys before the tuples are made.
-    del counts, keys
-    return Design._trusted(v, k, lam, tuple_rows(rows, v))
+    del counts  # before Design copies the rows
+    return Design(v, rows.shape[1], lam, rows)
 
 
 def _bibd_scan(v: int, blocks: Sequence[Iterable[int]]) -> Design:
@@ -414,7 +426,7 @@ def _bibd_scan(v: int, blocks: Sequence[Iterable[int]]) -> Design:
     if lam == 0:
         raise DesignCheckError("pair-coverage", {"pair": [0, 1], "count": 0},
                                "every pair must be covered at least once")
-    return Design._trusted(v, k, lam, tuple(sorted(normalized)))
+    return Design(v, k, lam, normalized)
 
 
 def _permutation(perm: Sequence[int], v: int) -> tuple[int, ...]:
@@ -426,20 +438,11 @@ def _permutation(perm: Sequence[int], v: int) -> tuple[int, ...]:
 
 
 def is_design_automorphism(perm: Sequence[int], design: Design) -> bool:
-    """True iff the point bijection maps the block set onto itself.
-
-    The images of the (b, k) block array are one gather through the
-    permutation; with each row sorted and the rows lexsorted on their packed
-    keys, they must equal the design's blocks, which are sorted already.
-    O(b k log b) array work.
-    """
+    """True iff the point bijection maps the block set onto itself: the
+    design's rows gathered through the permutation and put in order by
+    _lex_rows equal the rows.  O(b k log b) array work."""
     perm = _permutation(perm, design.v)
-    blocks = np.array(design.blocks)
-    if not blocks.size:  # no blocks, or only the empty one
-        return True
-    images = np.array(perm)[blocks]
-    images.sort(axis=1)
-    return np.array_equal(images[_lex_order(_packed(images, design.v))], blocks)
+    return np.array_equal(_lex_rows(np.array(perm)[design.rows], design.v)[0], design.rows)
 
 
 def non_automorphism(design: Design, perms: Iterable[Sequence[int]],

@@ -100,14 +100,11 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, {kind})"
 
 
-def tuple_rows(arr: np.ndarray, v: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of an int array of points in [0, v) as tuples of Python ints.
-
-    One tolist() of the array taken through the v ints 0..v-1 as objects, so
-    every entry refers to one of those v ints instead of an int of its own
-    (a third of the memory of a plain tolist() at v = 509).
-    """
-    return tuple(zip(*np.arange(v).astype(object)[arr.T].tolist()))
+def tuple_rows(arr: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The rows of a 2-D array of nonnegative ints as tuples of Python ints,
+    taken through the ints 0..max as objects so that every entry refers to
+    one of those ints (a third of the memory of a plain tolist() at v = 509)."""
+    return tuple(map(tuple, np.arange(arr.max(initial=0) + 1).astype(object)[arr].tolist()))
 
 
 def _validate_table(arr: np.ndarray, tab: Optional[tuple], v: int) -> tuple:
@@ -115,7 +112,7 @@ def _validate_table(arr: np.ndarray, tab: Optional[tuple], v: int) -> tuple:
         x, y = map(int, np.argwhere((arr < 0) | (arr >= v))[0])
         raise InvalidParameterError(f"table entry at ({x},{y}) is outside [0,{v})")
     if tab is None:
-        tab = tuple_rows(arr, v)
+        tab = tuple_rows(arr)
 
     idx = np.arange(v)
     if not np.array_equal(arr[0], idx):

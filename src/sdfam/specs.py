@@ -155,7 +155,7 @@ def parse_family(doc: dict, where: str = "family file") -> tuple[LabeledFamily, 
 
 def family_to_doc(family: LabeledFamily, group_spec: Optional[dict] = None) -> dict:
     if group_spec is None:
-        group_spec = {"kind": "cayley", "table": [list(row) for row in family.group.table]}
+        group_spec = {"kind": "cayley", "table": family.group.array.tolist()}
     return {
         "group": group_spec,
         "entries": [{"label": label, "block": list(block)} for label, block in family.entries],
@@ -169,7 +169,7 @@ def certificate_to_doc(cert: SdfCertificate) -> dict:
 
 def design_to_doc(design: Design) -> dict:
     return {"v": design.v, "k": design.k, "lambda": design.lam,
-            "b": len(design.blocks), "blocks": [list(b) for b in design.blocks]}
+            "b": len(design.rows), "blocks": design.rows.tolist()}
 
 
 def parse_design_doc(doc: dict, where: str = "design file") -> tuple[int, list, dict]:
@@ -181,8 +181,8 @@ def parse_design_doc(doc: dict, where: str = "design file") -> tuple[int, list, 
 
 
 def design_to_text(design: Design) -> str:
-    lines = [f"{design.v} {design.k} {design.lam} {len(design.blocks)}"]
-    lines.extend(" ".join(map(str, block)) for block in design.blocks)
+    lines = [f"{design.v} {design.k} {design.lam} {len(design.rows)}"]
+    lines.extend(" ".join(map(str, row)) for row in design.rows.tolist())
     return "\n".join(lines) + "\n"
 
 

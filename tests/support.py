@@ -8,6 +8,7 @@ by a second route.
 from __future__ import annotations
 
 import itertools
+import operator
 from math import gcd
 
 import numpy as np
@@ -269,6 +270,21 @@ def naive_design_violation(v: int, blocks):
     if lam == 0:
         return "pair-coverage", {"pair": [0, 1], "count": 0}
     return None
+
+
+def naive_design(v: int, k: int, lam: int, blocks) -> tuple:
+    """(v, k, lam, blocks) of the Design of these blocks, as sorted int
+    tuples in sorted order, or the error Design raises: TypeError for an
+    entry that is no int, then InvalidParameterError for a block of another
+    size than k, a point outside [0, v) or a repeated block."""
+    blocks = sorted(tuple(sorted(operator.index(x) for x in b)) for b in blocks)
+    if any(len(b) != k for b in blocks):
+        raise InvalidParameterError(f"designs need uniform block size {k}")
+    if any(x not in range(v) for b in blocks for x in b):
+        raise InvalidParameterError(f"design points must lie in [0,{v})")
+    if len(set(blocks)) != len(blocks):
+        raise InvalidParameterError("designs cannot repeat blocks")
+    return v, k, lam, tuple(blocks)
 
 
 def naive_pairwise_fpf(maps):

@@ -184,8 +184,8 @@ def test_verify_bibd_detects_repeated_block():
 
 
 def test_verify_bibd_design_equals_a_checked_design(ferrero_family):
-    # verify_bibd takes the trusted constructor; the checking one, given the
-    # same blocks unsorted, builds an equal Design.
+    # verify_bibd's Design, from checked rows, equals the one the constructor
+    # builds from the same blocks unsorted.
     blocks = support.development_tuples(ferrero_family)
     design = verify_bibd(7, list(reversed(blocks)))
     assert design.blocks == tuple(sorted(blocks))

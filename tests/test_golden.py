@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from sdfam import Design
 from sdfam.cli import main
 from sdfam.specs import dump_json
 
@@ -147,6 +148,18 @@ def run_case(argv, workdir: Path) -> dict:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden(case, tmp_path):
+    want = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+    assert run_case(CASES[case], tmp_path) == want
+
+
+@pytest.mark.parametrize("case", ["construct-ferrero-json", "construct-ferrero-text",
+                                  "construct-transnormal-json", "verify-design-pass-json",
+                                  "verify-design-pass-text", "verify-design-pass-json-input"])
+def test_build_verify_and_emit_never_make_the_tuple_view(case, tmp_path, monkeypatch):
+    def refuse(design):
+        raise AssertionError("Design.blocks was read")
+
+    monkeypatch.setattr(Design, "blocks", property(refuse))
     want = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
     assert run_case(CASES[case], tmp_path) == want
 
