@@ -76,7 +76,6 @@ from .families import (
     make_block,
     non_automorphism,
     stabilizer,
-    translate,
     verify_bibd,
     verify_sdf,
 )

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .endos import (
     Endomorphism,
     automorphism_generators,
@@ -266,7 +268,7 @@ def transnormal(group: FiniteGroup, maps: Sequence[Endomorphism],
     design = _developed_design(build)
 
     def translation(g):
-        return tuple(row[g] for row in group.table)
+        return tuple(group.array[:, g].tolist())
 
     translation_gens = [translation(g) for g in group.generators]
     bad = non_automorphism(design, map(translation, group.elements()), translation_gens)
@@ -387,9 +389,9 @@ def char2_segments_report(group: FiniteGroup, maps: Sequence[Endomorphism]) -> C
     every nonzero a, reports whether equality holds throughout, and attempts
     the orbit-family verification (asserting nu = 1 when equality holds).
     """
-    if any(group.add(x, x) != 0 for x in group.elements()):
-        x = next(x for x in group.elements() if group.add(x, x) != 0)
-        raise HypothesisError("exponent 2", {"x": x, "order": group.order})
+    doubles = np.flatnonzero(np.diagonal(group.array))
+    if len(doubles):
+        raise HypothesisError("exponent 2", {"x": int(doubles[0]), "order": group.order})
     maps = _segment_set(group, maps)
     family = _orbit_entries(group, maps)
     equality = True

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     HomomorphismError,
     HypothesisError,
@@ -28,24 +30,16 @@ def _hom_witness(group: FiniteGroup, table: Sequence[int]) -> Optional[tuple[int
     """First (x, y) with f(x+y) != f(x)+f(y), or None.
 
     The y with f(x+y) = f(x)+f(y) for all x are closed under addition, so f
-    is a homomorphism once that holds for every generator y of the group.
-    Only when it fails does the O(v^2) scan run, to name the first pair.
+    is a homomorphism once that holds for every generator y of the group:
+    one gather of the generators' columns.  Only when it fails does the
+    O(v^2) array compare run, to name the first pair.
     """
-    tab = group.table
-    for g in group.generators:
-        fg = table[g]
-        if any(table[row[g]] != tab[fx][fg] for row, fx in zip(tab, table)):
-            break
-    else:
+    arr, f = group.array, np.array(table)
+    gens = list(group.generators)
+    if np.array_equal(f[arr[:, gens]], arr[f[:, None], f[gens]]):
         return None
-    for x in range(group.order):
-        row = tab[x]
-        fx = table[x]
-        frow = tab[fx]
-        for y in range(group.order):
-            if table[row[y]] != frow[table[y]]:
-                return (x, y)
-    return None
+    x, y = np.argwhere(f[arr] != arr[f[:, None], f])[0]
+    return (int(x), int(y))
 
 
 class Endomorphism:
@@ -148,16 +142,14 @@ def scalar_endo(group: FiniteGroup, c: int) -> Endomorphism:
         raise InvalidParameterError("scalar maps are only additive on commutative groups")
     if c < 0:
         raise InvalidParameterError("scalar must be nonnegative")
-    table = []
-    for x in group.elements():
-        acc, base, e = 0, x, c
-        while e:
-            if e & 1:
-                acc = group.add(acc, base)
-            base = group.add(base, base)
-            e >>= 1
-        table.append(acc)
-    return Endomorphism(group, table)
+    arr = group.array
+    acc, base = np.zeros(group.order, dtype=np.int64), np.arange(group.order)
+    while c:
+        if c & 1:
+            acc = arr[acc, base]
+        base = arr[base, base]
+        c >>= 1
+    return Endomorphism(group, acc.tolist())
 
 
 def _elementary_abelian_shape(group: FiniteGroup) -> tuple[int, int]:
@@ -210,7 +202,7 @@ def one_minus(alpha: Endomorphism) -> MapCheck:
     segment constructions quantify over exactly that situation.
     """
     g = alpha.group
-    table = tuple(g.sub(x, alpha.table[x]) for x in g.elements())
+    table = tuple(g.array[np.arange(g.order), np.array(g.negs)[list(alpha.table)]].tolist())
     witness = _hom_witness(g, table)
     return MapCheck(g, table, witness is None, len(set(table)) == g.order, witness)
 
@@ -419,13 +411,12 @@ def halving_endo(group: FiniteGroup) -> Endomorphism:
     """The inverse of doubling x -> x+x, where doubling is a bijection."""
     if not group.commutative:
         raise InvalidParameterError("halving is only defined on commutative groups")
-    doubling = [group.add(x, x) for x in group.elements()]
-    if len(set(doubling)) != group.order:
+    doubling = np.diagonal(group.array)
+    if len(np.unique(doubling)) != group.order:
         raise InvalidParameterError("doubling is not a bijection, no halving map exists")
-    inv = [0] * group.order
-    for x, y in enumerate(doubling):
-        inv[y] = x
-    return Endomorphism(group, inv)
+    inv = np.empty(group.order, dtype=np.int64)
+    inv[doubling] = np.arange(group.order)
+    return Endomorphism(group, inv.tolist())
 
 
 def order6_segment_set(phi: Sequence[Endomorphism]) -> tuple[Endomorphism, ...]:

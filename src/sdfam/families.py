@@ -9,6 +9,7 @@ agree on lambda, and the test suite checks that agreement.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from operator import index
@@ -17,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DesignCheckError, InvalidParameterError, SdfCheckError, TheoremViolationError
-from .groups import MAX_ORDER, FiniteGroup, Subgroup, tuple_rows
+from .groups import MAX_ORDER, FiniteGroup, Subgroup
 
 Block = tuple  # sorted duplicate-free tuple of element indices
 Label = Union[int, str]
@@ -129,8 +130,10 @@ class Design:
 
     @property
     def blocks(self) -> tuple[Block, ...]:
-        """The rows as int tuples, made anew on each access."""
-        return tuple_rows(self.rows)
+        """The rows as int tuples, made anew on each access, taken through
+        the ints 0..v-1 as objects so that equal entries share one int (a
+        third of the memory of a plain tolist() at v = 509)."""
+        return tuple(map(tuple, np.arange(self.v).astype(object)[self.rows].tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Design):
@@ -142,66 +145,85 @@ class Design:
         return hash((self.v, self.k, self.lam, self.rows.tobytes()))
 
 
-def translate(group: FiniteGroup, block: Block, g: int) -> Block:
-    """The right translate B + g."""
-    return tuple(sorted(group.table[b][g] for b in block))
+def _translates(group: FiniteGroup, blocks: np.ndarray) -> np.ndarray:
+    """Every translate B + (-b), b in B, of (n, k) blocks of one size, each
+    sorted: row (j, i) of the (n, k, k) gather is B_j + (-B_j[i]), which
+    holds 0."""
+    negs = np.array(group.negs)[blocks]
+    rows = group.array[blocks[:, None, :], negs[:, :, None]]
+    rows.sort(axis=2)
+    return rows
+
+
+def _witnesses(group: FiniteGroup, b: Block, c: Block) -> np.ndarray:
+    """Every g with B = C + g, for blocks of one size.
+
+    Such a g maps c0 = C[0] into B, so g = (-c0) + x for some x in B, and
+    then B + (-x) = C + (-c0): the g are (-c0) + x for the rows of B's
+    translate gather equal to C's row 0, at O(k^2 log k).
+    """
+    rows = _translates(group, np.array([b, c]))
+    return group.array[group.negs[c[0]], np.array(b)[(rows[0] == rows[1, 0]).all(axis=1)]]
 
 
 def stabilizer(group: FiniteGroup, block: Block) -> Subgroup:
-    """All g with B + g = B; always a subgroup, and the largest one H with
-    B + H = B (every such H is contained in it).
-
-    Every such g maps b0 = B[0] into B, so g = (-b0) + b for some b in B:
-    only these k candidates are tried, at O(k^2) per block.
-    """
-    want = set(block)
-    table = group.table
-    start = table[group.negs[block[0]]]
-    candidates = [start[b] for b in block]
-    fixers = [g for g in candidates if all(table[b][g] in want for b in block)]
-    return Subgroup._trusted(group, tuple(sorted(fixers)))
+    """All g with B + g = B (the witnesses that B is a translate of
+    itself); always a subgroup, and the largest one H with B + H = B (every
+    such H is contained in it)."""
+    return Subgroup._trusted(group, tuple(sorted(_witnesses(group, block, block).tolist())))
 
 
 def are_translates(group: FiniteGroup, b: Block, c: Block) -> Optional[int]:
-    """Smallest g with B = C + g, or None.
+    """Smallest g with B = C + g, or None."""
+    g = _witnesses(group, b, c) if len(b) == len(c) else ()
+    return int(g.min()) if len(g) else None
 
-    Such a g maps c0 = C[0] into B, so g = (-c0) + b for some b in B: only
-    these k candidates are tried, smallest first, at O(k^2) per pair.
+
+def _translate_classes(group: FiniteGroup, blocks: Sequence[Block]) -> tuple[list, list]:
+    """The stabilizer size and the translate-class key of each of the
+    distinct blocks.
+
+    For the n blocks of each size k, one (n, k, k) gather holds their
+    translates B + (-b).  As in _witnesses, the stabilizer size is the
+    number of rows equal to row 0.  B + g = C + h exactly when the two sets
+    of rows are equal, which holds in non-abelian groups too, so the least
+    row (the smallest translate holding 0), compared on packed keys, keys
+    the class.  A second gather confirms that each block is a translate of
+    its class's first block.  O(n k^2 log k) array work.
     """
-    if len(b) != len(c):
-        return None
-    want = frozenset(b)
-    table = group.table
-    start = table[group.negs[c[0]]]
-    for g in sorted(start[x] for x in b):
-        if all(table[x][g] in want for x in c):
-            return g
-    return None
+    v, negs = group.order, np.array(group.negs)
+    mus, keys = [0] * len(blocks), [None] * len(blocks)
+    for k in sorted({len(b) for b in blocks}):
+        at = [j for j, b in enumerate(blocks) if len(b) == k]
+        arr, n = np.array([blocks[j] for j in at]), len(at)
+        rows = _packed(_translates(group, arr).reshape(n * k, k), v)
+        same = (rows.reshape(n, k, -1) == rows[::k, None]).all(axis=2).sum(axis=1)
+        # Each block's least row, by a lexsort with the block as primary key.
+        least = np.lexsort(np.vstack([rows.T[::-1], np.arange(n * k) // k]))[::k]
+        first, reps = {}, []
+        for j, m, row in zip(at, same.tolist(), rows[least]):
+            mus[j], keys[j] = m, (k, row.tobytes())
+            reps.append(first.setdefault(keys[j], len(reps)))
+        # B + (-B[i]) = R + (-R[r]) gives B = R + ((-R[r]) + B[i]).
+        i = least % k
+        g = group.array[negs[arr[reps, i[reps]]], arr[np.arange(n), i]]
+        moved = np.sort(group.array[arr[reps], g[:, None]], axis=1)
+        bad = np.flatnonzero((moved != arr).any(axis=1))
+        if len(bad):
+            raise TheoremViolationError("canonical-translate", {
+                "block": list(blocks[at[bad[0]]]), "rep": list(blocks[at[reps[bad[0]]]])})
+    return mus, keys
 
 
 def equivalence_classes(family: LabeledFamily) -> tuple[tuple[Label, ...], ...]:
-    """Labels grouped by translate-equivalence of their blocks, in entry order.
-
-    B + g = C + h exactly when {B + (-b) : b in B} = {C + (-c) : c in C},
-    which holds in non-abelian groups too, so each block is keyed by the
-    smallest member of its set (the smallest translate containing 0) and the
-    classes come from one dict pass.  Each label that joins a class is
-    confirmed against the class's first block by are_translates.  Cost
-    O(k^2 log k) per entry, O(n k^2 log k) per family of n entries.
-    """
-    group = family.group
-    classes: dict[Block, tuple[Block, list[Label]]] = {}
+    """Labels grouped by translate-equivalence of their blocks, in entry
+    order, from one _translate_classes pass over the distinct blocks."""
+    blocks = list(dict.fromkeys(family.blocks()))
+    key_of = dict(zip(blocks, _translate_classes(family.group, blocks)[1]))
+    classes: dict = {}
     for label, block in family.entries:
-        key = min(translate(group, block, group.negs[b]) for b in block)
-        if key not in classes:
-            classes[key] = (block, [label])
-            continue
-        rep, members = classes[key]
-        if are_translates(group, block, rep) is None:
-            raise TheoremViolationError("canonical-translate", {
-                "block": list(block), "rep": list(rep)})
-        members.append(label)
-    return tuple(tuple(members) for _, members in classes.values())
+        classes.setdefault(key_of[block], []).append(label)
+    return tuple(map(tuple, classes.values()))
 
 
 def _packed(rows: np.ndarray, v: int) -> np.ndarray:
@@ -235,9 +257,10 @@ def _strictly_increasing(keys: np.ndarray) -> bool:
 def _lex_rows(rows: np.ndarray, v: int) -> tuple[np.ndarray, bool]:
     """A (b, k) int64 array of points in [0, v), each row sorted in place,
     in lexicographic row order with repeated rows dropped, and whether any
-    were.  The lexsort, of the packed rows, is spared for rows that are
-    strictly increasing already."""
-    rows.sort(axis=1)
+    were.  The row sort is spared when every row is strictly increasing
+    already, and the lexsort, of the packed rows, when the rows are."""
+    if not (rows[:, 1:] > rows[:, :-1]).all():
+        rows.sort(axis=1)
     keys = _packed(rows, v)
     if _strictly_increasing(keys):
         return rows, False
@@ -295,22 +318,23 @@ def verify_sdf(family: LabeledFamily) -> SdfCertificate:
                 "label_a": entries[0].label, "size_a": k,
                 "label_b": label, "size_b": len(block)})
 
-    mu = len(stabilizer(group, entries[0].block))
+    # Stabilizer sizes and class keys of the distinct blocks, read per label.
+    distinct = list(dict.fromkeys(e.block for e in entries))
+    mu_of, key_of = (dict(zip(distinct, x)) for x in _translate_classes(group, distinct))
+    mu = mu_of[entries[0].block]
     for label, block in entries[1:]:
-        m = len(stabilizer(group, block))
-        if m != mu:
+        if mu_of[block] != mu:
             raise SdfCheckError("stabilizer-size", {
                 "label_a": entries[0].label, "mu_a": mu,
-                "label_b": label, "mu_b": m})
+                "label_b": label, "mu_b": mu_of[block]})
 
-    classes = equivalence_classes(family)
-    sizes = {label: len(cls) for cls in classes for label in cls}
-    nu = sizes[entries[0].label]
-    for label, _ in entries[1:]:
-        if sizes[label] != nu:
+    sizes = Counter(key_of[block] for _, block in entries)
+    nu = sizes[key_of[entries[0].block]]
+    for label, block in entries[1:]:
+        if sizes[key_of[block]] != nu:
             raise SdfCheckError("class-size", {
                 "label_a": entries[0].label, "nu_a": nu,
-                "label_b": label, "nu_b": sizes[label]})
+                "label_b": label, "nu_b": sizes[key_of[block]]})
 
     # One bincount of a + (-b) over the ordered pairs of distinct positions.
     blocks = np.array(family.blocks())

@@ -10,7 +10,7 @@ log2(v) elements, O(v^2 log v) with numpy under a documented order cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,10 +39,10 @@ class FiniteGroup:
     table must be associative (Light's test over ``generators``, which is
     as strict as checking every triple).
 
-    ``table`` is the tuple view of the table and ``array`` the same table as
-    a read-only (v, v) int64 array, for the array passes in ``families``.
-    The builders hand over their int64 arrays; other tables are read entry
-    by entry with int().
+    ``array`` is the table as a read-only (v, v) int64 array, the one copy
+    every pass reads; ``add``, ``neg`` and ``sub`` read single entries.  The
+    builders hand over their int64 arrays; other tables are read entry by
+    entry with int().
 
     ``generators`` is a greedy generating set: each member is the smallest
     element not reached from 0 by right additions of the members before it.
@@ -58,35 +58,29 @@ class FiniteGroup:
         if any(len(row) != v for row in table):
             raise InvalidParameterError(f"addition table must be {v}x{v}")
         if isinstance(table, np.ndarray) and table.dtype == np.int64 and table.ndim == 2:
-            # A builder's table: the group keeps a copy, and _validate_table
-            # makes the tuple view once the entries are known to be points.
-            arr = table.copy()
-            tab = None
+            arr = table.copy()  # a builder's table
         else:
-            # int() returns an int entry itself, so the view shares the caller's ints.
-            tab = tuple(tuple(map(int, row)) for row in table)
             try:
-                arr = np.array(tab, dtype=np.int64)
+                arr = np.array([tuple(map(int, row)) for row in table], dtype=np.int64)
             except OverflowError:
                 raise InvalidParameterError(f"table entries must lie in [0,{v})") from None
         arr.flags.writeable = False
-        tab, negs, commutative, generators = _validate_table(arr, tab, v)
+        negs, commutative, generators = _validate_table(arr, v)
         self.order = v
-        self.table = tab
         self.array = arr
         self.negs = negs
         self.commutative = commutative
         self.generators = generators
 
     def add(self, x: int, y: int) -> int:
-        return self.table[x][y]
+        return self.array.item(x, y)
 
     def neg(self, x: int) -> int:
         return self.negs[x]
 
     def sub(self, x: int, y: int) -> int:
         """x + (-y)."""
-        return self.table[x][self.negs[y]]
+        return self.array.item(x, self.negs[y])
 
     def elements(self) -> range:
         return range(self.order)
@@ -100,19 +94,10 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, {kind})"
 
 
-def tuple_rows(arr: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The rows of a 2-D array of nonnegative ints as tuples of Python ints,
-    taken through the ints 0..max as objects so that every entry refers to
-    one of those ints (a third of the memory of a plain tolist() at v = 509)."""
-    return tuple(map(tuple, np.arange(arr.max(initial=0) + 1).astype(object)[arr].tolist()))
-
-
-def _validate_table(arr: np.ndarray, tab: Optional[tuple], v: int) -> tuple:
+def _validate_table(arr: np.ndarray, v: int) -> tuple:
     if arr.min() < 0 or arr.max() >= v:
         x, y = map(int, np.argwhere((arr < 0) | (arr >= v))[0])
         raise InvalidParameterError(f"table entry at ({x},{y}) is outside [0,{v})")
-    if tab is None:
-        tab = tuple_rows(arr)
 
     idx = np.arange(v)
     if not np.array_equal(arr[0], idx):
@@ -133,7 +118,7 @@ def _validate_table(arr: np.ndarray, tab: Optional[tuple], v: int) -> tuple:
             raise GroupAxiomError("inverse", (x,), f"element {x} has no right inverse")
         raise GroupAxiomError("inverse", (x, y), f"{x} + {y} = 0 but {y} + {x} = {int(arr[y, x])}")
 
-    generators = _greedy_generators(tab, v)
+    generators = _greedy_generators(arr)
     # Light's test: the a with (x+a)+y = x+(a+y) for all x, y are closed under
     # addition, so checking the generators checks every triple.
     if not all(np.array_equal(arr[arr[:, a]], arr[:, arr[a]]) for a in generators):
@@ -147,31 +132,32 @@ def _validate_table(arr: np.ndarray, tab: Optional[tuple], v: int) -> tuple:
                     "associativity", (x, y, z),
                     f"({x}+{y})+{z} = {int(lhs[y, z])} but {x}+({y}+{z}) = {int(rhs[y, z])}")
 
-    return tab, tuple(negs.tolist()), bool(np.array_equal(arr, arr.T)), generators
+    return tuple(negs.tolist()), bool(np.array_equal(arr, arr.T)), generators
 
 
-def _greedy_generators(tab: tuple, v: int) -> tuple[int, ...]:
+def _closure(arr: np.ndarray, gens: Iterable[int]) -> set[int]:
+    """The elements reached from 0 by right additions of ``gens``, read
+    from the generators' columns of the table as lists."""
+    cols = arr[:, sorted(gens)].T.tolist()
+    elems, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for col in cols:
+            if col[x] not in elems:
+                elems.add(col[x])
+                frontier.append(col[x])
+    return elems
+
+
+def _greedy_generators(arr: np.ndarray) -> tuple[int, ...]:
     """The smallest element not yet reached from 0 by right additions of the
     generators so far, repeatedly, until every element is reached."""
-    reached = [False] * v
-    reached[0] = True
-    found = [0]
     gens: list[int] = []
-    for c in range(1, v):
-        if reached[c]:
-            continue
-        # Elements found so far are closed under the earlier generators, so
-        # they need only the new one; elements found from here on need all.
-        queue = [tab[x][c] for x in found]
-        gens.append(c)
-        while queue:
-            y = queue.pop()
-            if reached[y]:
-                continue
-            reached[y] = True
-            found.append(y)
-            row = tab[y]
-            queue.extend(row[g] for g in gens)
+    reached = {0}
+    for c in range(1, len(arr)):
+        if c not in reached:
+            gens.append(c)
+            reached = _closure(arr, gens)
     return tuple(gens)
 
 
@@ -308,7 +294,10 @@ def is_subgroup(group: FiniteGroup, elems: Iterable[int]) -> bool:
         return False
     if any(group.negs[x] not in s for x in s):
         return False
-    return all(group.table[x][y] in s for x in s for y in s)
+    member = np.zeros(group.order, dtype=bool)
+    idx = np.array(sorted(s))
+    member[idx] = True
+    return bool(member[group.array[np.ix_(idx, idx)]].all())
 
 
 def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -316,34 +305,26 @@ def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     gens = set(gens)
     if any(g not in range(group.order) for g in gens):
         raise InvalidParameterError("generator outside the element range")
-    elems = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.table[x][g]
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    return Subgroup._trusted(group, tuple(sorted(elems)))
+    return Subgroup._trusted(group, tuple(sorted(_closure(group.array, gens))))
 
 
 def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup, via closure of incrementally extended generator sets.
+    """Every subgroup, each new one the closure of a known subgroup's
+    generators plus one element outside it.
 
     Intended for small orders (the exhaustive lemma checks use <= 24).
     """
     seen = {frozenset({0})}
-    queue = [frozenset({0})]
+    queue: list[tuple[frozenset, tuple[int, ...]]] = [(frozenset({0}), ())]
     while queue:
-        base = queue.pop()
+        base, gens = queue.pop()
         for x in group.nonzero():
             if x in base:
                 continue
-            bigger = frozenset(subgroup_generated(group, set(base) | {x}).elements)
+            bigger = frozenset(subgroup_generated(group, gens + (x,)).elements)
             if bigger not in seen:
                 seen.add(bigger)
-                queue.append(bigger)
+                queue.append((bigger, gens + (x,)))
     subs = [Subgroup._trusted(group, tuple(sorted(s))) for s in seen]
     subs.sort(key=lambda h: (len(h.elements), h.elements))
     return tuple(subs)

@@ -621,10 +621,11 @@ def naive_elementary_abelian_shape(group: FiniteGroup) -> tuple[int, int]:
     if m != 1:
         raise InvalidParameterError(f"group order {v} is not a prime power")
     digs = [digits_of(i, p, k) for i in range(v)]
+    sums = group.array.tolist()
     for x in range(v):
         for y in range(v):
             expected = index_of_digits([(a + b) % p for a, b in zip(digs[x], digs[y])], p)
-            if group.table[x][y] != expected:
+            if sums[x][y] != expected:
                 raise InvalidParameterError(
                     "group table does not match the canonical elementary abelian encoding")
     return (p, k)

@@ -152,16 +152,27 @@ def naive_count_outcome(family):
     return lam
 
 
+NAIVE_UNIFORMITY = {"stabilizer-size": "uniform stabilizer size", "class-size": "uniform class size"}
+
+
 def test_difference_counts_match_the_naive_count(engine_groups):
-    families = random_families(engine_groups, 9, 600)
-    families += [f for g in engine_groups for f in edge_families(g)]
-    seen = {"pass": 0, "difference-count": 0, "divisibility": 0}
-    for family in families:
+    draws = random_families(engine_groups, 9, 600)
+    families = draws + [f for g in engine_groups for f in edge_families(g)]
+    seen = {"pass": 0, "stabilizer-size": 0, "class-size": 0, "difference-count": 0,
+            "divisibility": 0}
+    for n, family in enumerate(families):
         try:
             cert = verify_sdf(family)
         except SdfCheckError as exc:
-            if exc.condition in ("block-size", "stabilizer-size", "class-size"):
+            if exc.condition == "block-size":
                 continue
+            uniformity = support.naive_uniformity_failure(family)
+            if exc.condition in NAIVE_UNIFORMITY:
+                assert (NAIVE_UNIFORMITY[exc.condition], exc.witness) == uniformity
+                assert all(type(x) is int for x in exc.witness.values())
+                seen[exc.condition] += n < len(draws)
+                continue
+            assert uniformity is None
             expected = naive_count_outcome(family)
             if exc.condition == "divisibility":
                 assert exc.witness["lam_prime"] == expected
@@ -170,10 +181,13 @@ def test_difference_counts_match_the_naive_count(engine_groups):
                 assert all(type(x) is int for x in exc.witness.values())
             seen[exc.condition] += 1
             continue
+        assert support.naive_uniformity_failure(family) is None
         assert cert.lam_prime == naive_count_outcome(family)
         assert type(cert.lam_prime) is int and type(cert.lam) is int
+        assert all(type(x) is int for x in (cert.mu, cert.nu))
         seen["pass"] += 1
     assert seen["pass"] > 50 and seen["difference-count"] > 50
+    assert seen["stabilizer-size"] > 0 and seen["class-size"] > 0, seen
 
 
 def all_subsets_design(v: int, k: int) -> list:
@@ -376,12 +390,25 @@ def test_array_engine_peaks_no_higher_than_the_tuple_path():
     assert peak <= oracle_peak
 
 
+def test_a_group_keeps_one_table():
+    # The (509, 509) int64 entries take 2,072,648 bytes; a tuple view of the
+    # table took 2.1 MB more.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        group = build_cyclic(509)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(group, "table") and retained < 2_500_000
+
+
 def damaged_tables(rng, group, count: int):
     """Copies of the table with up to three entries outside row and column 0
     changed, so the entries stay points and 0 stays the identity."""
     v = group.order
     for _ in range(count):
-        arr = np.array(group.table)
+        arr = group.array.copy()
         for _ in range(rng.randint(1, 3)):
             arr[rng.randrange(1, v), rng.randrange(1, v)] = rng.randrange(v)
         yield arr.tolist()
@@ -409,19 +436,21 @@ def test_builders_keep_a_read_only_int64_array(s3):
                   build_direct_product([build_cyclic(2), s3]), s3):
         arr = group.array
         assert arr.dtype == np.int64 and not arr.flags.writeable
-        assert arr.tolist() == [list(row) for row in group.table]
-        assert all(type(x) is int for row in group.table for x in row)
+        assert not hasattr(group, "table")
+        assert all(type(group.add(x, y)) is int and type(group.sub(x, y)) is int
+                   for x in group.elements() for y in group.elements())
         assert all(type(x) is int for x in group.negs)
 
 
 def test_an_int64_array_gives_the_group_of_its_list(s3):
-    arr = np.array(s3.table, dtype=np.int64)
-    group = FiniteGroup(arr)
-    assert (group.table, group.negs, group.commutative, group.generators) \
-        == (s3.table, s3.negs, s3.commutative, s3.generators)
-    assert arr.flags.writeable and group.array is not arr
+    arr = s3.array.copy()
+    group = FiniteGroup(arr.tolist())
+    same = FiniteGroup(arr)
+    assert (same.array.tolist(), same.negs, same.commutative, same.generators) \
+        == (group.array.tolist(), group.negs, group.commutative, group.generators)
+    assert arr.flags.writeable and same.array is not arr
     arr[1, 1] = 0
-    assert group.table == s3.table and group.array[1, 1] == s3.table[1][1]
+    assert same.array[1, 1] == group.array[1, 1] == s3.add(1, 1)
 
 
 @pytest.mark.parametrize("entry", [6, -1])

@@ -229,7 +229,7 @@ def test_design_automorphisms_at_v_512_with_long_blocks(gf512_designs):
         # Frobenius only that of the subfield's translates; a primitive
         # multiplication and random perms do not.
         for t in rng.sample(range(group.order), 5):
-            assert_automorphism([row[t] for row in group.table], design, True)
+            assert_automorphism(group.array[:, t].tolist(), design, True)
         for t in h:
             assert_automorphism(multiplication_map(field, field.element_at(t)), design, True)
         assert_automorphism(frobenius, design, frobenius_fixes)
@@ -337,7 +337,7 @@ def assert_doubly(perms, v, expected):
 
 
 def translations(group):
-    return [[row[g] for row in group.table] for g in group.elements()]
+    return group.array.T.tolist()
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (2, 4), (5, 2),

@@ -23,7 +23,7 @@ import support
 
 def test_cyclic_z2_table():
     g = build_cyclic(2)
-    assert g.table == ((0, 1), (1, 0))
+    assert g.array.tolist() == [[0, 1], [1, 0]]
     assert g.commutative
 
 
@@ -62,7 +62,7 @@ def test_product_of_z2_z3_is_cyclic_of_order_6():
 
 def test_unary_product_is_identity():
     z3 = build_cyclic(3)
-    assert build_direct_product([z3]).table == z3.table
+    assert build_direct_product([z3]).array.tolist() == z3.array.tolist()
 
 
 def test_product_z2_z2_has_exponent_two():
@@ -156,6 +156,18 @@ def test_is_subgroup_examples(z7, ea9):
     for x in ea9.nonzero():
         assert is_subgroup(ea9, {0, x, ea9.add(x, x)})
     assert is_subgroup(z7, {0})
+
+
+def test_is_subgroup_matches_the_pairwise_check_on_every_subset(s3, d4, q8_group):
+    closed_under_negation_only = 0
+    for group in (build_cyclic(8), build_elementary_abelian(2, 3), s3, d4, q8_group):
+        for mask in range(1 << group.order):
+            elems = {x for x in group.elements() if mask >> x & 1}
+            negated = bool(elems) and all(group.neg(x) in elems for x in elems)
+            added = all(group.add(x, y) in elems for x in elems for y in elems)
+            assert is_subgroup(group, elems) == (negated and added)
+            closed_under_negation_only += negated and not added
+    assert closed_under_negation_only > 100
 
 
 def test_generated_subgroups_pass_membership_and_lagrange(s3, d4, q8_group, z6, ea9):
